@@ -160,7 +160,7 @@ let run_sweep systems seeds seed_base shards jobs quick serial batching
     seed_base
     (seed_base + seeds - 1)
     shards
-    (if serial then "; serial orderer" else "")
+    (if serial then "; orderer depth 1, fixed batch" else "")
     ((if batching then "; append batching" else "")
     ^ (if replica_reads then "; replica reads" else "")
     ^ (if subscriptions then "; subscriptions" else "")
@@ -290,8 +290,9 @@ let serial =
     value & flag
     & info [ "serial" ]
         ~doc:
-          "Check the serial-orderer baseline (pipeline_depth=1, fixed \
-           batch) instead of the pipelined orderer.")
+          "Run the orderer at pipeline_depth=1 with a fixed batch (one \
+           batch in flight at a time) instead of its default depth and \
+           adaptive batch.")
 
 let batching =
   Arg.(

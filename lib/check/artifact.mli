@@ -18,7 +18,8 @@ type scenario = {
   system : string;  (** ["erwin-m"] or ["erwin-st"] *)
   seed : int;  (** master seed: engine rng, perturbation, workload *)
   shards : int;
-  serial : bool;  (** serial-orderer baseline ([pipeline_depth = 1]) *)
+  serial : bool;
+      (** orderer at [pipeline_depth = 1] with [adaptive_batch = false] *)
   batching : bool;  (** clients run with append group commit enabled *)
   replica_reads : bool;
       (** demand-driven read path on (replica reads, eager binding,

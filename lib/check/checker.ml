@@ -37,8 +37,7 @@ let config_of (sc : Artifact.scenario) =
          horizon when the aggressor bursts. *)
       {
         cfg with
-        Config.multi_log = true;
-        fair_ingress = true;
+        Config.fair_ingress = true;
         tenant_weights = [ (1, 2) ];
         ingress_queue = 8;
       }

@@ -111,8 +111,8 @@ let default =
     outlier_interval = Engine.us 500;
     outlier_factor = 4.0;
     outlier_min_samples = 8;
-    (* Multi-log fabric defaults off: one log (log 0), no ingress
-       scheduler installed, so figs 6-18 stay byte-identical. *)
+    (* No ingress scheduler installed, so figs 6-18 stay
+       byte-identical. *)
     multi_log = false;
     fair_ingress = false;
     tenant_weights = [];

@@ -21,10 +21,13 @@ type t = {
   min_batch : int;  (** adaptive batching floor (see {!field-adaptive_batch}) *)
   adaptive_batch : bool;
       (** grow the ordering batch while the sequencing log keeps a backlog,
-          shrink it back to [min_batch] when drained *)
+          shrink it back to [min_batch] when drained; [false] claims fixed
+          batches of up to [max_batch] *)
   pipeline_depth : int;
-      (** max ordering batches in flight at once; [1] plus
-          [adaptive_batch = false] selects the legacy serial orderer *)
+      (** max ordering batches in flight at once; at [1] each batch is
+          pushed, garbage collected and made stable before the next is
+          claimed (with [adaptive_batch = false], the checker's [--serial]
+          configuration) *)
   seq_base_ns : int;  (** sequencing-replica CPU per request, base *)
   seq_per_byte_ns : float;  (** sequencing-replica CPU per payload byte *)
   shard_base_ns : int;  (** shard CPU per request *)
@@ -116,19 +119,18 @@ type t = {
   outlier_min_samples : int;
       (** samples required from every replica before judging *)
   multi_log : bool;
-      (** opt-in multi-log fabric: entries carry a log id, the sequencing
+      (** no effect; kept so existing configurations still build. Every
+          cluster is multi-log: entries carry a log id, the sequencing
           keyspace packs (log, position) into one int ({!Logid}) and every
-          log advances its own last-ordered / stable-gp cursors — one
-          cluster multiplexes thousands of tenant logs. Off by default:
-          every entry then lives in log 0, whose packed positions are the
-          raw legacy positions, so figs 6-18 stay byte-identical. *)
+          log advances its own last-ordered / stable-gp cursors. Log 0
+          packs to raw positions, so a log-0-only workload numbers its
+          records exactly as a single log would. *)
   fair_ingress : bool;
-      (** with {!field-multi_log}: weighted-fair scheduling at the
-          sequencing-replica ingress. Data-plane appends enqueue into
-          per-tenant queues drained by deficit round robin (quantum
-          {!field-drr_quantum} x the tenant's weight), and a per-tenant
-          token bucket ({!field-admit_rate}/{!field-admit_burst}) plus a
-          queue bound ({!field-ingress_queue}) sheds excess arrivals with
+      (** opt-in weighted-fair scheduling at the sequencing-replica
+          ingress. Data-plane appends enqueue into per-tenant queues
+          drained by deficit round robin (quantum {!field-drr_quantum} x
+          the tenant's weight), and a per-tenant token bucket
+          ({!field-admit_rate}/{!field-admit_burst}) plus a queue bound ({!field-ingress_queue}) sheds excess arrivals with
           an immediate failed-append reply — the client's existing
           retry/backoff (and retry-budget) path absorbs the shed. One hot
           tenant then costs its weight share, not its arrival share. *)
@@ -138,12 +140,15 @@ type t = {
       (** fair ingress: deficit replenished per DRR round, in service-time
           nanoseconds per weight unit *)
   admit_rate : float;
-      (** fair ingress: token-bucket refill, appends/s per weight unit;
-          [0.0] disables rate admission (queue bound still applies) *)
+      (** fair ingress: token-bucket refill, records/s per weight unit. A
+          request is admitted while the bucket holds a whole token and
+          then debits its record count (a linger batch may drive the
+          balance negative); [0.0] disables rate admission (queue bound
+          still applies) *)
   admit_burst : float;  (** fair ingress: token-bucket capacity *)
   ingress_queue : int;
-      (** fair ingress: per-tenant queued-append bound; arrivals beyond it
-          (with an empty token bucket) are shed immediately *)
+      (** fair ingress: per-tenant queued-request bound; arrivals beyond
+          it (without a whole token) are shed immediately *)
   link : Fabric.link;
   rpc_overhead : Engine.time;  (** per-endpoint software overhead (eRPC) *)
   debug_no_rid_pinning : bool;

@@ -58,7 +58,6 @@ type t = {
   mutable next_client : int;
   mutable crash_time : Engine.time option;
   mutable reconfig_log : reconfig_timings list;
-  mutable ordering_in_progress : bool;
   order_idle : Ll_sim.Waitq.t;
   mutable batches : int;
   mutable batched_entries : int;
@@ -71,7 +70,7 @@ type t = {
   mutable demand_upto : int;
   (* Multi-log fabric: per-tenant stable frontiers and demand cursors for
      logs > 0, as packed positions ([stable_gp] / [demand_upto] scalars
-     keep serving log 0 so the single-log path is untouched). *)
+     keep serving log 0, so a log-0 workload never touches them). *)
   stable_gps : (int, int) Hashtbl.t;
   demand_uptos : (int, int) Hashtbl.t;
   order_wake : Waitq.t;
@@ -105,7 +104,6 @@ let create ~cfg ~mode =
       next_client = 0;
       crash_time = None;
       reconfig_log = [];
-      ordering_in_progress = false;
       order_idle = Waitq.create ();
       batches = 0;
       batched_entries = 0;
@@ -149,7 +147,7 @@ let shard_of_position t p =
   t.shard_index.(p mod Array.length t.shard_index)
 
 (* Per-log frontier accessors. Log 0 aliases the scalar fields so the
-   single-log hot path never touches a hashtable; logs > 0 key packed
+   log-0 hot path never touches a hashtable; logs > 0 key packed
    positions by log id. *)
 
 let stable_for t ~log =

@@ -59,7 +59,6 @@ type t = {
   mutable crash_time : Engine.time option;
       (** set by fault-injecting benches so detection time can be derived *)
   mutable reconfig_log : reconfig_timings list;
-  mutable ordering_in_progress : bool;
   order_idle : Waitq.t;
   (* background-ordering batch statistics (figure 11's right axis) *)
   mutable batches : int;
@@ -115,7 +114,8 @@ val shard_of_position : t -> int -> Shard.t
 (** {2 Per-log frontiers (multi-log fabric)}
 
     Log 0 aliases the scalar [stable_gp]/[demand_upto] fields, so the
-    single-log path is bit-identical; logs > 0 live in the hashtables. *)
+    log-0 hot path never touches a hashtable; logs > 0 live in the
+    hashtables. *)
 
 val stable_for : t -> log:int -> int
 (** The client-visible stable frontier of [log], as a packed position

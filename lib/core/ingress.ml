@@ -9,9 +9,10 @@ open Ll_sim
    demux ([Rpc.set_ingress]) and divides the replica's service capacity
    by configured weight instead of arrival aggression:
 
-   - admission: a per-tenant token bucket ([admit_rate] appends/s per
-     weight unit, burst [admit_burst]) plus a queue bound
-     ([ingress_queue]). An arrival finding no token and a full queue is
+   - admission: a per-tenant token bucket ([admit_rate] records/s per
+     weight unit, burst [admit_burst]; a request carrying n records costs
+     n tokens) plus a queue bound ([ingress_queue]). An arrival finding
+     no whole token and a full queue is
      shed with an immediate failed-append reply — no service time spent —
      and the client's ordinary retry/backoff path absorbs it.
    - service: deficit round robin over the per-tenant queues. Each round
@@ -70,9 +71,14 @@ let tenant t log =
     Hashtbl.add t.tenants log ten;
     ten
 
-(* Token-bucket admission. With [admit_rate = 0] rate admission is off
-   and the queue bound alone decides. *)
-let take_token t ten =
+(* Token-bucket admission, charged per record: a request is admitted
+   while the bucket holds at least one token and then debits its record
+   count, so a linger batch may take the balance negative and the tenant
+   waits out the debt before its next admission. Over any window T a
+   tenant is thus admitted at most rate * weight * T + burst records,
+   plus one request's overshoot. With [admit_rate = 0] rate admission is
+   off and the queue bound alone decides. *)
+let take_token t ten ~records =
   let rate = t.cfg.Config.admit_rate in
   if rate <= 0.0 then false
   else begin
@@ -86,7 +92,7 @@ let take_token t ten =
       ten.tokens <- Float.min t.cfg.Config.admit_burst (ten.tokens +. refill)
     end;
     if ten.tokens >= 1.0 then begin
-      ten.tokens <- ten.tokens -. 1.0;
+      ten.tokens <- ten.tokens -. float_of_int records;
       true
     end
     else false
@@ -166,22 +172,22 @@ let install ~cfg ~view ep =
     ~name:(Ll_net.Fabric.name (Ll_net.Rpc.node ep) ^ ".drr")
     (drain_loop t);
   Ll_net.Rpc.set_ingress ep (fun ~src req ~reply ->
-      let log =
+      let log, records =
         match (req : Proto.req) with
-        | Proto.Sr_append { entry; _ } -> Some (Types.entry_log entry)
-        | Proto.Sr_append_batch { batch = (e, _) :: _; _ } ->
+        | Proto.Sr_append { entry; _ } -> (Some (Types.entry_log entry), 1)
+        | Proto.Sr_append_batch { batch = (e, _) :: _ as batch; _ } ->
           (* A linger batch is classified by its first entry: the batcher
              is per-client-process, so mixed-log batches only arise when a
              process multiplexes tenants — they are accounted to the
              first. *)
-          Some (Types.entry_log e)
-        | _ -> None
+          (Some (Types.entry_log e), List.length batch)
+        | _ -> (None, 0)
       in
       match log with
       | None -> false  (* control plane: default FIFO path *)
       | Some log ->
         let ten = tenant t log in
-        let has_token = take_token t ten in
+        let has_token = take_token t ten ~records in
         if
           has_token
           || Queue.length ten.queue < cfg.Config.ingress_queue

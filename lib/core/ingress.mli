@@ -4,16 +4,17 @@
     tenant logs over one cluster, so one aggressive tenant can no longer
     be allowed to own a replica's FIFO ingress: this module installs an
     {!Ll_net.Rpc.set_ingress} scheduler that (a) sheds arrivals exceeding
-    a per-tenant token bucket + queue bound with an immediate failed
-    append (no service time spent), and (b) serves the admitted backlog
+    a per-tenant token bucket (charged per record, so a linger batch costs
+    its record count) + queue bound with an immediate failed append (no
+    service time spent), and (b) serves the admitted backlog
     by deficit round robin so service capacity divides by configured
     weight ({!Config.tenant_weights}) instead of arrival rate.
 
     Only data-plane appends ([Sr_append] / [Sr_append_batch]) are
     scheduled; all other traffic falls through to the default FIFO path
-    unchanged. Installed only when [multi_log && fair_ingress] — with the
-    knobs off no scheduler exists and the replica behaves
-    byte-identically to the single-log system. *)
+    unchanged. Installed only when [fair_ingress] — with the knob off no
+    scheduler exists and the replica keeps the default FIFO discipline,
+    byte-identically. *)
 
 type t
 

@@ -10,11 +10,11 @@ open Erwin_common
    format ([Proto]); they are built back-to-front so no reversal is
    needed. *)
 
-let build_targets (cluster : t) ~truncate_from ~truncate_logs
+let build_targets (cluster : t) ~truncate_logs
     (slots : (int * Types.entry) array) =
   let shards = cluster.shard_index in
   let n = Array.length shards in
-  let truncating = truncate_from <> None || truncate_logs <> [] in
+  let truncating = truncate_logs <> [] in
   match cluster.mode with
   | M ->
     (* Deterministic placement: position p -> shard (p mod n). *)
@@ -31,7 +31,7 @@ let build_targets (cluster : t) ~truncate_from ~truncate_logs
     done;
     Array.init n (fun i ->
         ( shards.(i),
-          Proto.Msh_push { truncate_from; truncate_logs; slots = groups.(i) },
+          Proto.Msh_push { truncate_logs; slots = groups.(i) },
           sizes.(i) + (8 * List.length truncate_logs),
           groups.(i) <> [] || truncating ))
   | St ->
@@ -54,8 +54,7 @@ let build_targets (cluster : t) ~truncate_from ~truncate_logs
     let any = map_chunk <> [] || truncating in
     Array.init n (fun i ->
         ( shards.(i),
-          Proto.Ssh_order
-            { truncate_from; truncate_logs; bindings = groups.(i); map_chunk },
+          Proto.Ssh_order { truncate_logs; bindings = groups.(i); map_chunk },
           (24 * counts.(i)) + map_size + (8 * List.length truncate_logs),
           any ))
 
@@ -65,9 +64,8 @@ let build_targets (cluster : t) ~truncate_from ~truncate_logs
    filter make them idempotent. No cross-shard barrier here — a straggler
    shard delays only its own batch's commit, never the next batch's
    pushes. *)
-let spawn_pushes (cluster : t) ep ?(truncate_logs = []) ~truncate_from slots
-    ~on_done =
-  let targets = build_targets cluster ~truncate_from ~truncate_logs slots in
+let spawn_pushes (cluster : t) ep ?(truncate_logs = []) slots ~on_done =
+  let targets = build_targets cluster ~truncate_logs slots in
   let involved =
     Array.fold_left
       (fun acc (_, _, _, send) -> if send then acc + 1 else acc)
@@ -88,9 +86,9 @@ let spawn_pushes (cluster : t) ep ?(truncate_logs = []) ~truncate_from slots
       targets
   end
 
-let push_batch (cluster : t) ep ?(truncate_logs = []) ~truncate_from slots =
+let push_batch (cluster : t) ep ~truncate_logs slots =
   let iv = Ivar.create () in
-  spawn_pushes cluster ep ~truncate_logs ~truncate_from (Array.of_list slots)
+  spawn_pushes cluster ep ~truncate_logs (Array.of_list slots)
     ~on_done:(fun () -> Ivar.fill iv ());
   Ivar.read iv
 
@@ -108,10 +106,9 @@ let broadcast_stable (cluster : t) ep gp =
         (Proto.Sh_set_stable { gp }))
     cluster.shard_index
 
-(* Multi-log stable broadcast: the log-0 frontier takes the exact legacy
-   path above (so a batch with no tenant entries is byte-identical),
-   then each tenant frontier the batch advanced gets its own merge,
-   probe and one-way round. [on_stable] stays log-0 scoped — the
+(* Per-log stable broadcast: the log-0 frontier takes the scalar path
+   above, then each tenant frontier the batch advanced gets its own
+   merge, probe and one-way round. [on_stable] stays log-0 scoped — the
    subscription manager subscribes to the root log. *)
 let broadcast_stable_logs (cluster : t) ep ~new_gp ~new_gps =
   broadcast_stable cluster ep new_gp;
@@ -151,7 +148,7 @@ let rdma_gc (cluster : t) f ~view ~gps ~slots ~new_gp =
 
 (* Retry follower GC until every follower confirms (transient slowness) or
    the view moves on (a failure; reconfiguration takes over). *)
-let rec gc_followers (cluster : t) ep ~view ?(gps = []) ~slots ~new_gp () =
+let rec gc_followers (cluster : t) ep ~view ~gps ~slots ~new_gp () =
   if cluster.view <> view || cluster.reconfiguring then false
   else begin
     let acks =
@@ -186,49 +183,51 @@ end
 (* ---------- position assignment ---------- *)
 
 (* Assign ordering positions to a claimed batch. Log 0 draws densely from
-   the [next0] cursor — with [multi_log] off every entry is log 0 and this
-   is exactly the historical [base + i] numbering. Under [multi_log],
-   tenant entries draw from their own packed cursor in [tbl], seeded from
-   the leader's per-log ordered frontier on first touch (safe: a log
-   absent from [tbl] has no in-flight batch, so the leader's committed
-   frontier is authoritative). Returns the slots plus the [(log, frontier)]
-   list for tenant logs this batch advanced. *)
-let assign_positions (cluster : t) slog ~next0 ~tbl
-    (entries : Types.entry array) =
-  if not cluster.cfg.Config.multi_log then begin
-    let base = !next0 in
-    next0 := base + Array.length entries;
-    (Array.mapi (fun i e -> (base + i, e)) entries, [])
-  end
-  else begin
-    let seen = Hashtbl.create 8 in
-    let slots =
-      Array.map
-        (fun e ->
-          let log = Types.entry_log e in
-          if log = 0 then begin
-            let gp = !next0 in
-            next0 := gp + 1;
-            (gp, e)
-          end
-          else begin
-            let g =
-              match Hashtbl.find_opt tbl log with
-              | Some g -> g
-              | None -> Seq_log.last_ordered_gp_for slog ~log
-            in
-            Hashtbl.replace tbl log (g + 1);
-            Hashtbl.replace seen log ();
-            (g, e)
-          end)
-        entries
-    in
+   the [next0] cursor (its packed positions are the raw ones). Tenant
+   entries draw from their own packed cursor in [tbl], seeded from the
+   leader's per-log ordered frontier on first touch (safe: a log absent
+   from [tbl] has no in-flight batch, so the leader's committed frontier
+   is authoritative). Returns the slots plus the [(log, frontier)] list
+   for tenant logs this batch advanced; the table tracking those is
+   allocated on the first tenant entry, so a log-0 batch allocates no
+   table. *)
+let assign_positions slog ~next0 ~tbl (entries : Types.entry array) =
+  let seen = ref None in
+  let slots =
+    Array.map
+      (fun e ->
+        let log = Types.entry_log e in
+        if log = 0 then begin
+          let gp = !next0 in
+          next0 := gp + 1;
+          (gp, e)
+        end
+        else begin
+          let g =
+            match Hashtbl.find_opt tbl log with
+            | Some g -> g
+            | None -> Seq_log.last_ordered_gp_for slog ~log
+          in
+          Hashtbl.replace tbl log (g + 1);
+          (match !seen with
+          | Some logs -> Hashtbl.replace logs log ()
+          | None ->
+            let logs = Hashtbl.create 8 in
+            Hashtbl.replace logs log ();
+            seen := Some logs);
+          (g, e)
+        end)
+      entries
+  in
+  match !seen with
+  | None -> (slots, [])
+  | Some logs ->
     let new_gps =
-      Hashtbl.fold (fun log () acc -> (log, Hashtbl.find tbl log) :: acc) seen
-        []
+      Hashtbl.fold
+        (fun log () acc -> (log, Hashtbl.find tbl log) :: acc)
+        logs []
     in
     (slots, new_gps)
-  end
 
 (* ---------- read-triggered eager binding ---------- *)
 
@@ -240,18 +239,17 @@ let assign_positions (cluster : t) slog ~next0 ~tbl
 let demand_pending (cluster : t) ~frontier =
   (cluster.cfg.Config.read_demand || cluster.cfg.Config.subscriptions)
   && (cluster.demand_upto > frontier
-     || (cluster.cfg.Config.multi_log
-        &&
-        (* Tenant demand compares against the leader's committed per-log
-           frontier; with in-flight batches this can over-report, but the
-           claim that follows is a no-op when nothing is unclaimed. *)
-        match cluster.replicas with
-        | ldr :: _ ->
-          List.exists
-            (fun (log, upto) ->
-              upto > Seq_log.last_ordered_gp_for (Seq_replica.log ldr) ~log)
-            (demand_logs cluster)
-        | [] -> false))
+     ||
+     (* Tenant demand compares against the leader's committed per-log
+        frontier; with in-flight batches this can over-report, but the
+        claim that follows is a no-op when nothing is unclaimed. *)
+     match cluster.replicas with
+     | ldr :: _ ->
+       List.exists
+         (fun (log, upto) ->
+           upto > Seq_log.last_ordered_gp_for (Seq_replica.log ldr) ~log)
+         (demand_logs cluster)
+     | [] -> false)
   && (not cluster.reconfiguring)
   && (match cluster.replicas with
      | ldr :: _ ->
@@ -259,11 +257,6 @@ let demand_pending (cluster : t) ~frontier =
        && (not (Seq_replica.is_sealed ldr))
        && Seq_log.unclaimed_count (Seq_replica.log ldr) > 0
      | [] -> false)
-
-let serial_frontier (cluster : t) =
-  match cluster.replicas with
-  | r :: _ -> Seq_log.last_ordered_gp (Seq_replica.log r)
-  | [] -> max_int
 
 (* The idle sleep between ordering passes. Gated on the demand knobs
    because an interruptible wait schedules different engine events than a
@@ -298,58 +291,6 @@ let note_stable (cluster : t) ~size ~claimed_at =
   m.last_stable_at <- Engine.now ();
   Stats.Reservoir.add m.stable_lag (Engine.now () - claimed_at)
 
-(* ---------- legacy serial orderer (pipeline_depth <= 1, fixed batch) ----
-
-   One strictly sequential push -> leader GC -> follower GC -> stable
-   round per interval; kept as the baseline the pipelined path is
-   benchmarked against (bench/micro.ml) and for configurations that want
-   the original behavior. *)
-
-let serial_pass (cluster : t) ep =
-  let ldr = leader cluster in
-  if
-    (not cluster.reconfiguring)
-    && Fabric.is_alive (Seq_replica.node ldr)
-    && not (Seq_replica.is_sealed ldr)
-  then begin
-    let view = cluster.view in
-    let slog = Seq_replica.log ldr in
-    let entries = Seq_log.unordered slog ~max:cluster.cfg.Config.max_batch () in
-    if entries <> [] then begin
-      let claimed_at = Engine.now () in
-      let next0 = ref (Seq_log.last_ordered_gp slog) in
-      (* Fully synchronous pass: the leader's per-log frontiers are
-         authoritative, so the tenant cursor table starts fresh. *)
-      let slots_arr, new_gps =
-        assign_positions cluster slog ~next0 ~tbl:(Hashtbl.create 8)
-          (Array.of_list entries)
-      in
-      let slots = Array.to_list slots_arr in
-      let n = List.length entries in
-      cluster.ordering_in_progress <- true;
-      note_claim cluster n;
-      push_batch cluster ep ~truncate_from:None slots;
-      (* The batch is on the shards. Collect it replica by replica; only
-         when every replica has GC'd may stable-gp move (section 4.5). *)
-      if
-        cluster.view = view
-        && (not cluster.reconfiguring)
-        && Fabric.is_alive (Seq_replica.node ldr)
-      then begin
-        let gc_slots = List.map (fun (gp, e) -> (gp, Types.entry_rid e)) slots in
-        let new_gp = !next0 in
-        Seq_replica.apply_gc ldr ~gps:new_gps ~slots:gc_slots ~new_gp;
-        if gc_followers cluster ep ~view ~gps:new_gps ~slots:gc_slots ~new_gp ()
-        then begin
-          broadcast_stable_logs cluster ep ~new_gp ~new_gps;
-          note_stable cluster ~size:n ~claimed_at
-        end
-      end;
-      cluster.ordering_in_progress <- false;
-      Waitq.broadcast cluster.order_idle
-    end
-  end
-
 (* ---------- pipelined orderer ----------
 
    Two fibers per cluster:
@@ -363,18 +304,18 @@ let serial_pass (cluster : t) ep =
 
    So batch N+1's shard pushes overlap batch N's follower GC and stable
    broadcast, while stable-gp still advances in batch order. In-flight
-   batches are bounded by [pipeline_depth]. A seal or view change between
-   a batch's push and its GC invalidates the batch: the committer drops it
-   without touching stable-gp, and the recovery flush re-binds its
-   positions idempotently (explicit-position binding). *)
+   batches are bounded by [pipeline_depth]; at depth 1 each batch runs
+   push -> GC -> stable before the next is claimed. A seal or view
+   change between a batch's push and its GC invalidates the batch: the
+   committer drops it without touching stable-gp, and the recovery flush
+   re-binds its positions idempotently (explicit-position binding). *)
 
 type batch = {
   view : int;
   ldr : Seq_replica.t;
   gc_slots : (int * Types.Rid.t) list;
   new_gp : int;
-  new_gps : (int * int) list;
-      (* tenant frontiers this batch advanced (multi_log; else []) *)
+  new_gps : (int * int) list;  (* tenant frontiers this batch advanced *)
   size : int;
   pushed : unit Ivar.t;
   claimed_at : Engine.time;
@@ -440,7 +381,7 @@ let pipelined_loop (cluster : t) ep =
           cluster.order_resync <- false
         end;
         next_gp := Seq_log.last_ordered_gp (Seq_replica.log r);
-        if cluster.cfg.Config.multi_log then Hashtbl.reset next_gps
+        Hashtbl.reset next_gps
       | [] -> ());
       pipe_view := cluster.view
     end;
@@ -463,8 +404,7 @@ let pipelined_loop (cluster : t) ep =
           if n = 0 then (0, 0)
           else begin
             let slots, new_gps =
-              assign_positions cluster slog ~next0:next_gp ~tbl:next_gps
-                entries
+              assign_positions slog ~next0:next_gp ~tbl:next_gps entries
             in
             let gc_slots = ref [] in
             for i = n - 1 downto 0 do
@@ -474,8 +414,8 @@ let pipelined_loop (cluster : t) ep =
             cluster.inflight_batches <- cluster.inflight_batches + 1;
             note_claim cluster n;
             let pushed = Ivar.create () in
-            spawn_pushes cluster ep ~truncate_from:None slots
-              ~on_done:(fun () -> Ivar.fill pushed ());
+            spawn_pushes cluster ep slots ~on_done:(fun () ->
+                Ivar.fill pushed ());
             Queue.push
               {
                 view = !pipe_view;
@@ -532,18 +472,9 @@ let start (cluster : t) =
     List.iter
       (fun s -> Shard.set_demand_target s (Some (Rpc.endpoint_id ep)))
       cluster.shards;
-  if cfg.Config.pipeline_depth <= 1 && not cfg.Config.adaptive_batch then
-    Engine.spawn ~name:"orderer" (fun () ->
-        let rec loop () =
-          idle_wait cluster ~frontier:(fun () -> serial_frontier cluster);
-          serial_pass cluster ep;
-          loop ()
-        in
-        loop ())
-  else Engine.spawn ~name:"orderer" (fun () -> pipelined_loop cluster ep)
+  Engine.spawn ~name:"orderer" (fun () -> pipelined_loop cluster ep)
 
-let is_idle (cluster : t) =
-  (not cluster.ordering_in_progress) && cluster.inflight_batches = 0
+let is_idle (cluster : t) = cluster.inflight_batches = 0
 
 let wait_idle (cluster : t) =
   Waitq.await cluster.order_idle (fun () -> is_idle cluster)

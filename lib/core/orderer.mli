@@ -13,9 +13,9 @@
     flight, and a committer fiber retires batches strictly in dispatch
     order so stable-gp never advances out of order. In-flight batches are
     bounded by [Config.pipeline_depth]; batch size adapts between
-    [Config.min_batch] and [Config.max_batch] ({!Adaptive}). Setting
-    [pipeline_depth = 1] with [adaptive_batch = false] selects the
-    original strictly serial single-fiber orderer.
+    [Config.min_batch] and [Config.max_batch] ({!Adaptive}). With
+    [pipeline_depth = 1] each batch is stable before the next is claimed;
+    [adaptive_batch = false] fixes the batch at [max_batch].
 
     The dispatcher reads the leader's log directly (the paper does this
     with RDMA so the leader's CPU is not consumed) and quiesces while a
@@ -26,17 +26,15 @@ open Ll_net
 val push_batch :
   Erwin_common.t ->
   (Proto.req, Proto.resp) Rpc.endpoint ->
-  ?truncate_logs:int list ->
-  truncate_from:int option ->
+  truncate_logs:int list ->
   (int * Types.entry) list ->
   unit
 (** Pushes positioned entries to the shards and waits for all of them to
-    acknowledge (replication included). With [truncate_from], every shard
-    first logically overwrites its tail from that position — the recovery
-    flush path (section 4.5). [truncate_logs] is the multi-log analogue:
-    packed per-tenant frontiers whose logs are selectively unbound from
-    that position up, in the same message as the rebinding slots (so the
-    unbind/rebind pair is atomic per shard). Also used by {!Reconfig}. *)
+    acknowledge (replication included). Every shard first logically
+    overwrites each log named in [truncate_logs] (packed per-log
+    frontiers) from its frontier up — the recovery flush path (section
+    4.5) — in the same message as the rebinding slots, so the
+    unbind/rebind pair is atomic per shard. Used by {!Reconfig}. *)
 
 val broadcast_stable :
   Erwin_common.t -> (Proto.req, Proto.resp) Rpc.endpoint -> int -> unit

@@ -20,7 +20,7 @@ type req =
           with per-rid results distinguishing fresh appends from
           duplicate-filtered (already durable) entries. *)
   | Sr_check_tail of { view : int; log : int }
-      (** Tail of one log ([log = 0] is the legacy single log). *)
+      (** Tail of one log, as a per-log position. *)
   | Sr_gc of { view : int; slots : (gp * Types.Rid.t) list; new_gp : gp }
       (** Leader -> follower: the listed rids were bound; drop them and
           advance last-ordered-gp. *)
@@ -31,8 +31,7 @@ type req =
       new_view : int;
       new_gp : gp;
       gps : (int * gp) list;
-          (** per-log ordering frontiers for logs beyond log 0 (empty
-              outside the multi-log fabric) *)
+          (** per-log ordering frontiers for logs beyond log 0 *)
       flushed : (gp * Types.Rid.t) list;
     }
   | Sr_wait_ordered of { rid : Types.Rid.t }
@@ -52,17 +51,12 @@ type req =
   | Sh_trim of { upto : gp }
   (* --- Erwin-m shards: background pushes of full records ---
 
-     [truncate_logs] carries per-log truncation frontiers for tenant logs
-     (empty outside the multi-log fabric); it rides in the same message as
-     the slots so a recovery's unbind and rebind stay atomic per shard
-     even when several logs flush at once. *)
-  | Msh_push of {
-      truncate_from : gp option;
-      truncate_logs : gp list;
-      slots : (gp * Types.record) list;
-    }
+     [truncate_logs] carries the recovery flush's packed per-log
+     truncation frontiers (empty on ordinary pushes); it rides in the same
+     message as the slots so a recovery's unbind and rebind stay atomic
+     per shard even when several logs flush at once. *)
+  | Msh_push of { truncate_logs : gp list; slots : (gp * Types.record) list }
   | Msh_replicate of {
-      truncate_from : gp option;
       truncate_logs : gp list;
       slots : (gp * Types.record) list;
     }
@@ -70,13 +64,11 @@ type req =
   | Ssh_data_write of { record : Types.record }
       (** Client -> every shard replica, in parallel: stage the record. *)
   | Ssh_order of {
-      truncate_from : gp option;
       truncate_logs : gp list;
       bindings : (gp * Types.Rid.t) list;  (** this shard's records *)
       map_chunk : (gp * int) list;  (** position -> shard, full batch *)
     }
   | Ssh_replicate_order of {
-      truncate_from : gp option;
       truncate_logs : gp list;
       bindings : (gp * Types.Rid.t) list;
       noops : Types.Rid.t list;
@@ -123,8 +115,7 @@ type resp =
           sealed, or sealed while waiting for capacity). *)
   | R_tail of { ok : bool; tail : int }
   | R_state of { gp : gp; gps : (int * gp) list; entries : Types.entry list }
-      (** [gps] lists the per-log last-ordered frontiers beyond log 0
-          (empty outside the multi-log fabric). *)
+      (** [gps] lists the per-log last-ordered frontiers beyond log 0. *)
   | R_gp of { gp : gp }
   | R_records of { records : (gp * Types.record) list; stable : gp }
       (** [stable] piggybacks the responder's stable mirror: read traffic

@@ -21,10 +21,9 @@ type replica = {
      shard; backups keep their own (fed by the primary's relay, by client
      stable hints, and by the stable piggybacked on forwarded reads) so
      they can serve bound positions without consulting the primary.
-     [stable] is log 0's frontier (the whole log outside the multi-log
-     fabric); tenant logs keep theirs in [stables], keyed by log id with
-     packed values. One watch covers all logs — waiters re-check their
-     own predicate. *)
+     [stable] is log 0's frontier; tenant logs keep theirs in [stables],
+     keyed by log id with packed values. One watch covers all logs —
+     waiters re-check their own predicate. *)
   mutable stable : int;
   stables : (int, int) Hashtbl.t;
   stable_watch : Waitq.t;
@@ -69,59 +68,39 @@ let make_disk cfg =
   | Config.Sata -> Disk.sata_ssd ()
   | Config.Nvme -> Disk.nvme_ssd ()
 
-(* Move bound records at positions >= from back to staging and drop their
-   map entries: recovery may rebind them at different positions
-   (section 4.5's tail overwrite, realized logically). *)
-let unbind_from r from =
-  let doomed = Flushed_store.entries_from r.store from in
-  List.iter
-    (fun (_, (rec_ : Types.record)) ->
-      if not (Types.is_no_op rec_) then begin
-        Hashtbl.replace r.staging rec_.Types.rid rec_;
-        Hashtbl.replace r.staged_at rec_.Types.rid 0
-      end)
-    doomed;
-  Flushed_store.truncate r.store from;
-  let stale = Hashtbl.fold (fun gp _ acc -> if gp >= from then gp :: acc else acc) r.map_log [] in
-  List.iter (Hashtbl.remove r.map_log) stale
-
-(* Per-log truncation, the multi-log recovery path: each packed frontier
-   in [fronts] unbinds its own log's positions [>= frontier], requeueing
-   real records into staging, without touching interleaved positions of
-   other logs (a numeric [truncate] would destroy them). One walk over
-   the bound entries covers every listed log. *)
-let unbind_logs_from r fronts =
-  let by_log = Hashtbl.create 8 in
-  List.iter (fun f -> Hashtbl.replace by_log (Logid.log_of f) f) fronts;
-  let doomed =
-    List.filter
-      (fun (gp, _) ->
-        match Hashtbl.find_opt by_log (Logid.log_of gp) with
-        | Some f -> gp >= f
-        | None -> false)
-      (Flushed_store.entries r.store)
-  in
-  List.iter
-    (fun (gp, (rec_ : Types.record)) ->
-      if not (Types.is_no_op rec_) then begin
-        Hashtbl.replace r.staging rec_.Types.rid rec_;
-        Hashtbl.replace r.staged_at rec_.Types.rid 0
-      end;
-      Flushed_store.remove r.store ~pos:gp)
-    doomed;
-  let stale =
-    Hashtbl.fold
-      (fun gp _ acc ->
-        match Hashtbl.find_opt by_log (Logid.log_of gp) with
-        | Some f when gp >= f -> gp :: acc
-        | _ -> acc)
-      r.map_log []
-  in
-  List.iter (Hashtbl.remove r.map_log) stale
-
-let apply_truncate r ~truncate_from ~truncate_logs =
-  (match truncate_from with Some from -> unbind_from r from | None -> ());
-  if truncate_logs <> [] then unbind_logs_from r truncate_logs
+(* Recovery truncation (section 4.5's tail overwrite, realized
+   logically): each packed frontier in [fronts] moves its own log's bound
+   records at positions [>= frontier] back to staging and drops their map
+   entries, so recovery may rebind them at different positions. Other
+   logs' interleaved positions are untouched. One walk over the bound
+   entries covers every listed log; ordinary pushes carry no frontiers
+   and skip it. *)
+let apply_truncate r fronts =
+  if fronts <> [] then begin
+    let by_log = Hashtbl.create 8 in
+    List.iter (fun f -> Hashtbl.replace by_log (Logid.log_of f) f) fronts;
+    let doomed gp =
+      match Hashtbl.find_opt by_log (Logid.log_of gp) with
+      | Some f -> gp >= f
+      | None -> false
+    in
+    List.iter
+      (fun (gp, (rec_ : Types.record)) ->
+        if doomed gp then begin
+          if not (Types.is_no_op rec_) then begin
+            Hashtbl.replace r.staging rec_.Types.rid rec_;
+            Hashtbl.replace r.staged_at rec_.Types.rid 0
+          end;
+          Flushed_store.remove r.store ~pos:gp
+        end)
+      (Flushed_store.entries r.store);
+    let stale =
+      Hashtbl.fold
+        (fun gp _ acc -> if doomed gp then gp :: acc else acc)
+        r.map_log []
+    in
+    List.iter (Hashtbl.remove r.map_log) stale
+  end
 
 (* [charged = true] pays the device for the record bytes (Erwin-m pushes,
    where this is the first time the shard sees the data); [charged =
@@ -162,16 +141,12 @@ let resolve_binding cfg r rid =
 
 (* Probe points are primary-only: the primary's bindings are the
    authoritative position -> record map the invariants talk about. *)
-let probe_truncate t ~truncate_from ~truncate_logs =
-  if Probe.active () then begin
-    (match truncate_from with
-    | Some from -> Probe.emit (Probe.Shard_truncated { shard = t.sid; from })
-    | None -> ());
-    (* Packed frontiers: the monitor recovers the log from the position. *)
+let probe_truncate t truncate_logs =
+  (* Packed frontiers: the monitor recovers the log from the position. *)
+  if Probe.active () then
     List.iter
       (fun from -> Probe.emit (Probe.Shard_truncated { shard = t.sid; from }))
       truncate_logs
-  end
 
 let probe_stored t slots =
   if Probe.active () then
@@ -240,13 +215,13 @@ let demand_bind t ~upto =
 let handle_primary t ~src:_ (req : Proto.req) ~reply =
   let r = t.primary in
   match req with
-  | Msh_push { truncate_from; truncate_logs; slots } ->
-    apply_truncate r ~truncate_from ~truncate_logs;
-    probe_truncate t ~truncate_from ~truncate_logs;
+  | Msh_push { truncate_logs; slots } ->
+    apply_truncate r truncate_logs;
+    probe_truncate t truncate_logs;
     store_slots r slots;
     probe_stored t slots;
     (* Retried on loss; replication by explicit position is idempotent. *)
-    let repl_req = Proto.Msh_replicate { truncate_from; truncate_logs; slots } in
+    let repl_req = Proto.Msh_replicate { truncate_logs; slots } in
     let acks =
       List.map
         (fun b ->
@@ -276,9 +251,9 @@ let handle_primary t ~src:_ (req : Proto.req) ~reply =
       if fresh then journal_record r record;
       reply (Proto.R_append { ok = true; view = 0 })
     end
-  | Ssh_order { truncate_from; truncate_logs; bindings; map_chunk } ->
-    apply_truncate r ~truncate_from ~truncate_logs;
-    probe_truncate t ~truncate_from ~truncate_logs;
+  | Ssh_order { truncate_logs; bindings; map_chunk } ->
+    apply_truncate r truncate_logs;
+    probe_truncate t truncate_logs;
     (* Idempotency under retried pushes: a position already bound must
        not be resolved again (its record left staging on the first
        pass, and re-resolving would wrongly no-op it). *)
@@ -307,8 +282,7 @@ let handle_primary t ~src:_ (req : Proto.req) ~reply =
     in
     let repl_req =
       Proto.Ssh_replicate_order
-        { truncate_from;
-          truncate_logs;
+        { truncate_logs;
           bindings = List.map (fun (gp, rid, _) -> (gp, rid)) resolved;
           noops;
           map_chunk }
@@ -416,8 +390,8 @@ let forward_to_primary t r req ~reply ~on_resp =
 
 let handle_backup t r ~src:_ (req : Proto.req) ~reply =
   match req with
-  | Msh_replicate { truncate_from; truncate_logs; slots } ->
-    apply_truncate r ~truncate_from ~truncate_logs;
+  | Msh_replicate { truncate_logs; slots } ->
+    apply_truncate r truncate_logs;
     store_slots r slots;
     reply Proto.R_ok
   | Ssh_data_write { record } ->
@@ -431,9 +405,8 @@ let handle_backup t r ~src:_ (req : Proto.req) ~reply =
       if fresh then journal_record r record;
       reply (Proto.R_append { ok = true; view = 0 })
     end
-  | Ssh_replicate_order { truncate_from; truncate_logs; bindings; noops; map_chunk }
-    ->
-    apply_truncate r ~truncate_from ~truncate_logs;
+  | Ssh_replicate_order { truncate_logs; bindings; noops; map_chunk } ->
+    apply_truncate r truncate_logs;
     let missing = ref [] in
     let slots =
       List.filter_map
@@ -584,41 +557,10 @@ let replace_backup t ~index =
   in
   install_backup_handler t fresh;
   let src = t.primary in
-  let copy_from pos =
-    let ordered = Flushed_store.entries_from src.store pos in
-    let bytes =
-      List.fold_left
-        (fun acc (_, (r : Types.record)) -> acc + r.Types.size)
-        0 ordered
-    in
-    (* Bulk state transfer over the wire. *)
-    Engine.sleep
-      (Engine.us 500
-      + int_of_float (t.cfg.Config.link.Fabric.per_byte_ns *. float_of_int bytes)
-      );
-    Flushed_store.append_batch fresh.store
-      (List.map
-         (fun (gp, (r : Types.record)) -> (gp, r.Types.size, r))
-         ordered);
-    match List.rev ordered with (gp, _) :: _ -> gp + 1 | [] -> pos
-  in
-  let copied_upto = copy_from 0 in
-  (* Unordered (staged) records and the map log come along too. *)
-  Hashtbl.iter (fun rid r -> Hashtbl.replace fresh.staging rid r) src.staging;
-  Hashtbl.iter (fun rid at -> Hashtbl.replace fresh.staged_at rid at) src.staged_at;
-  Hashtbl.iter (fun rid () -> Hashtbl.replace fresh.nooped rid ()) src.nooped;
-  Hashtbl.iter (fun gp sid -> Hashtbl.replace fresh.map_log gp sid) src.map_log;
-  (* The copied prefix is readable on the fresh replica right away. *)
-  fresh.stable <- src.stable;
-  Hashtbl.iter (fun log g -> Hashtbl.replace fresh.stables log g) src.stables;
-  (* Swap in, then catch up on anything pushed during the bulk copy. *)
-  t.backups <- List.mapi (fun i b -> if i = index then fresh else b) t.backups;
-  if not t.cfg.Config.multi_log then ignore (copy_from copied_upto : int)
-  else begin
-    (* Packed positions are not monotone across logs, so "everything past
-       the last copied position" under-covers: the delta pass instead
-       copies whatever the bulk pass missed, by membership. *)
-    ignore (copied_upto : int);
+  (* Copies whatever bound record [fresh] lacks, by membership: packed
+     positions are not monotone across logs, so "everything past the
+     last copied position" would under-cover the delta pass. *)
+  let copy_missing () =
     let missing =
       List.filter
         (fun (gp, _) -> Flushed_store.mem_read fresh.store ~pos:gp = None)
@@ -629,13 +571,26 @@ let replace_backup t ~index =
         (fun acc (_, (r : Types.record)) -> acc + r.Types.size)
         0 missing
     in
+    (* Bulk state transfer over the wire. *)
     Engine.sleep
       (Engine.us 500
       + int_of_float
           (t.cfg.Config.link.Fabric.per_byte_ns *. float_of_int bytes));
     Flushed_store.append_batch fresh.store
       (List.map (fun (gp, (r : Types.record)) -> (gp, r.Types.size, r)) missing)
-  end
+  in
+  copy_missing ();
+  (* Unordered (staged) records and the map log come along too. *)
+  Hashtbl.iter (fun rid r -> Hashtbl.replace fresh.staging rid r) src.staging;
+  Hashtbl.iter (fun rid at -> Hashtbl.replace fresh.staged_at rid at) src.staged_at;
+  Hashtbl.iter (fun rid () -> Hashtbl.replace fresh.nooped rid ()) src.nooped;
+  Hashtbl.iter (fun gp sid -> Hashtbl.replace fresh.map_log gp sid) src.map_log;
+  (* The copied prefix is readable on the fresh replica right away. *)
+  fresh.stable <- src.stable;
+  Hashtbl.iter (fun log g -> Hashtbl.replace fresh.stables log g) src.stables;
+  (* Swap in, then catch up on anything pushed during the bulk copy. *)
+  t.backups <- List.mapi (fun i b -> if i = index then fresh else b) t.backups;
+  copy_missing ()
 
 let backup_ids t = List.map (fun b -> Fabric.id b.node) t.backups
 

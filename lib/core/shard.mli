@@ -38,8 +38,7 @@ val replica_ids : t -> Fabric.node_id list
 
 val stable_gp : t -> int
 (** The primary's stable mirror (backups keep their own, possibly
-    lagging, mirror for replica reads). Log 0's frontier — the whole
-    log outside the multi-log fabric. *)
+    lagging, mirror for replica reads). Log 0's frontier. *)
 
 val stable_gp_for : t -> log:int -> int
 (** The primary's stable mirror for one tenant log (packed;

@@ -12,10 +12,10 @@ module Rid = struct
   let pp fmt a = Format.fprintf fmt "%d.%d" a.client a.seq
 end
 
-(* [log] is the tenant log the record belongs to (always 0 outside the
-   multi-log fabric); it rides with the record so the sequencing layer can
-   assign per-log positions and the ingress scheduler can classify by
-   tenant without a side channel. *)
+(* [log] is the tenant log the record belongs to (0 unless appended
+   through a tenant handle); it rides with the record so the sequencing
+   layer can assign per-log positions and the ingress scheduler can
+   classify by tenant without a side channel. *)
 type record = { rid : Rid.t; size : int; data : string; log : int }
 
 let record ~rid ~size ?(data = "") ?(log = 0) () = { rid; size; data; log }

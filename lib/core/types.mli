@@ -15,7 +15,7 @@ end
 (** A log record. [data] is a small correctness tag carried through the
     system; [size] is the modeled payload size in bytes (what the network
     and disks are charged for); [log] is the tenant log it belongs to
-    (always [0] outside the multi-log fabric). *)
+    ([0] unless appended through a tenant handle). *)
 type record = { rid : Rid.t; size : int; data : string; log : int }
 
 val record :
@@ -33,8 +33,8 @@ type entry =
 val entry_rid : entry -> Rid.t
 
 val entry_log : entry -> int
-(** The tenant log an entry belongs to ([0] outside the multi-log
-    fabric). *)
+(** The tenant log an entry belongs to ([0] unless appended through a
+    tenant handle). *)
 
 val entry_wire_size : entry -> int
 (** Bytes this entry occupies on the wire / in sequencing-replica memory

@@ -60,6 +60,3 @@ val flush_wait : 'a t -> unit
 (** Blocks until everything staged so far is on the device. *)
 
 val entries : 'a t -> (int * 'a) list
-
-val entries_from : 'a t -> int -> (int * 'a) list
-(** Entries at positions [>= from], in position order. *)

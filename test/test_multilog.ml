@@ -12,6 +12,10 @@ let checkb = Alcotest.(check bool)
 let mcfg =
   { Config.default with Config.multi_log = true; nshards = 2 }
 
+(* The same cluster without the (now inert) [multi_log] field: tenant
+   handles must work on any cluster, not only one that opted in. *)
+let plain_cfg = { Config.default with Config.nshards = 2 }
+
 (* ---------- Logid packing ---------- *)
 
 let test_logid_pack () =
@@ -54,9 +58,9 @@ let test_join_all_timeout_zero_budget () =
 
 (* ---------- per-tenant append/read isolation ---------- *)
 
-let tenant_roundtrip create client =
+let tenant_roundtrip ?(cfg = mcfg) create client =
   Engine.run (fun () ->
-      let cluster = create ~cfg:mcfg () in
+      let cluster = create ~cfg () in
       let logs = [ 0; 1; 5 ] in
       let handles = List.map (fun l -> (l, client ~log:l cluster)) logs in
       List.iter
@@ -96,6 +100,16 @@ let test_m_tenant_roundtrip () =
 
 let test_st_tenant_roundtrip () =
   tenant_roundtrip
+    (fun ~cfg () -> Erwin_st.create ~cfg ())
+    (fun ~log c -> Erwin_st.client ~log c)
+
+let test_m_tenant_roundtrip_plain () =
+  tenant_roundtrip ~cfg:plain_cfg
+    (fun ~cfg () -> Erwin_m.create ~cfg ())
+    (fun ~log c -> Erwin_m.client ~log c)
+
+let test_st_tenant_roundtrip_plain () =
+  tenant_roundtrip ~cfg:plain_cfg
     (fun ~cfg () -> Erwin_st.create ~cfg ())
     (fun ~log c -> Erwin_st.client ~log c)
 
@@ -248,6 +262,59 @@ let test_admission_shed_bounds_queue () =
       checkb "progress despite shedding" true (!acked > 0);
       Engine.stop ())
 
+(* Rate admission charges records, not requests: a batching aggressor
+   (64 concurrent appenders coalesced by the linger batcher into batches
+   of up to [max_batch_records]) with no queue to fall back on is held to
+   its token bucket. Over a window T its acked records cannot exceed
+   rate * weight * T + burst, plus one batch admitted on the last whole
+   token. *)
+let test_admit_rate_counts_records () =
+  Engine.run (fun () ->
+      let rate = 20_000.0 and burst = 16.0 in
+      let cfg =
+        {
+          mcfg with
+          Config.fair_ingress = true;
+          append_batching = true;
+          ingress_queue = 0;
+          admit_rate = rate;
+          admit_burst = burst;
+          (* Shed batches retry quickly, so the bucket is the only
+             limit. *)
+          append_timeout = Engine.ms 1;
+        }
+      in
+      let cluster = Erwin_m.create ~cfg () in
+      let h = Erwin_m.client ~log:1 cluster in
+      let acked = ref 0 in
+      let stop = ref false in
+      for _f = 1 to 64 do
+        Engine.spawn (fun () ->
+            while not !stop do
+              if h.append ~size:128 ~data:"x" then incr acked
+            done)
+      done;
+      let window = Engine.ms 20 in
+      Engine.sleep window;
+      let acked_in_window = !acked in
+      stop := true;
+      let bound =
+        (rate *. Engine.to_sec window)
+        +. burst
+        +. float_of_int cfg.Config.max_batch_records
+      in
+      checkb "aggressor made progress" true (acked_in_window > 0);
+      checkb
+        (Printf.sprintf "acked records %d within %.0f" acked_in_window bound)
+        true
+        (float_of_int acked_in_window <= bound);
+      (match Seq_replica.ingress (List.hd cluster.replicas) with
+      | None -> Alcotest.fail "fair ingress not installed"
+      | Some ing ->
+        checkb "rate admission shed" true
+          ((Ingress.stats ing ~log:1).Ingress.st_shed > 0));
+      Engine.stop ())
+
 let () =
   Alcotest.run "multilog"
     [
@@ -264,6 +331,10 @@ let () =
             test_m_tenant_roundtrip;
           Alcotest.test_case "erwin-st per-tenant roundtrip" `Quick
             test_st_tenant_roundtrip;
+          Alcotest.test_case "erwin-m per-tenant roundtrip, plain config"
+            `Quick test_m_tenant_roundtrip_plain;
+          Alcotest.test_case "erwin-st per-tenant roundtrip, plain config"
+            `Quick test_st_tenant_roundtrip_plain;
           Alcotest.test_case "cursors survive view change" `Quick
             test_cursors_survive_view_change;
         ] );
@@ -273,5 +344,7 @@ let () =
             test_drr_honors_weights;
           Alcotest.test_case "admission shed bounds the queue" `Quick
             test_admission_shed_bounds_queue;
+          Alcotest.test_case "admit rate counts records" `Quick
+            test_admit_rate_counts_records;
         ] );
     ]

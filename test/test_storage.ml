@@ -226,16 +226,6 @@ let test_flushed_store_truncate_rewrite () =
         [ (0, "old0"); (1, "new1") ]
         (Flushed_store.entries s))
 
-let test_flushed_store_entries_from () =
-  Engine.run (fun () ->
-      let s = Flushed_store.create ~disk:(Disk.create ()) () in
-      List.iter
-        (fun p -> Flushed_store.append s ~pos:p ~size:1 p)
-        [ 0; 2; 4; 6 ];
-      Alcotest.(check (list (pair int int)))
-        "from 3" [ (4, 4); (6, 6) ]
-        (Flushed_store.entries_from s 3))
-
 let () =
   let qc = List.map QCheck_alcotest.to_alcotest in
   Alcotest.run "storage"
@@ -267,7 +257,5 @@ let () =
             test_flushed_store_backpressure;
           Alcotest.test_case "truncate then rewrite" `Quick
             test_flushed_store_truncate_rewrite;
-          Alcotest.test_case "entries_from" `Quick
-            test_flushed_store_entries_from;
         ] );
     ]
