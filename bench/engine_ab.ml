@@ -7,7 +7,12 @@
      engine_ab.exe <workload> <n-events> <reps>
 
    Workloads: timer-callback | mixed-hop | deep-timer | deep-fiber |
-   ready-ivar | ready-mailbox *)
+   ready-ivar | ready-mailbox | rpc-hop
+
+   Each rep prints CPU ns/op next to minor words/op ([Gc.minor_words]
+   over the whole run, setup included): allocation is deterministic, so
+   the words column compares two builds exactly where the CPU column
+   only compares them within noise. *)
 
 let callback_chains n =
   Ll_sim.Engine.run (fun () ->
@@ -99,6 +104,25 @@ let ready_mailbox n =
         ignore (Mailbox.recv mb : int)
       done)
 
+(* One RPC round trip per op, with a service time on the server: request
+   send, fabric delivery, demux, service-time sleep, handler fiber, reply,
+   response demux and the caller's ivar wake — the hop every protocol
+   message in the cluster pays. *)
+let rpc_hops n =
+  Ll_sim.Engine.run (fun () ->
+      let open Ll_net in
+      let fab = Fabric.create () in
+      let sn = Fabric.add_node fab ~name:"server" () in
+      let cn = Fabric.add_node fab ~name:"client" () in
+      let server = Rpc.endpoint fab sn in
+      let client = Rpc.endpoint fab cn in
+      Rpc.set_service_time server (fun _ -> 100);
+      Rpc.set_handler server (fun ~src:_ req ~reply -> reply (req + 1));
+      let dst = Fabric.id sn in
+      for i = 1 to n do
+        ignore (Rpc.call client ~dst i : int)
+      done)
+
 let () =
   let workload = Sys.argv.(1) in
   let n = int_of_string Sys.argv.(2) in
@@ -111,21 +135,29 @@ let () =
     | "deep-fiber" -> deep_fiber_timers
     | "ready-ivar" -> ready_ivar
     | "ready-mailbox" -> ready_mailbox
+    | "rpc-hop" -> rpc_hops
     | w -> failwith ("unknown workload: " ^ w)
   in
   Ll_sim.Engine.set_scheduler `Wheel;
   f (n / 10) (* warmup *);
   let best = ref infinity in
+  let wpo = ref 0.0 in
   for r = 1 to reps do
+    let w0 = Gc.minor_words () in
     let t0 = (Unix.times ()).tms_utime in
     f n;
     let dt = (Unix.times ()).tms_utime -. t0 in
+    let words = Gc.minor_words () -. w0 in
     let ev = Ll_sim.Engine.events_executed () in
     let rate = float_of_int ev /. dt /. 1e6 in
     if dt < !best then best := dt;
-    Printf.printf "  rep %d: %d events  %.1f ms cpu  %.2f Mev/s  %.1f ns/op\n%!"
+    wpo := words /. float_of_int n;
+    Printf.printf
+      "  rep %d: %d events  %.1f ms cpu  %.2f Mev/s  %.1f ns/op  %.1f words/op\n%!"
       r ev (dt *. 1000.) rate
       (dt *. 1e9 /. float_of_int n)
+      !wpo
   done;
-  Printf.printf "%s best: %.1f ms cpu (%.1f ns/op over %d ops)\n%!" workload
-    (!best *. 1000.) (!best *. 1e9 /. float_of_int n) n
+  Printf.printf
+    "%s best: %.1f ms cpu (%.1f ns/op, %.1f words/op over %d ops)\n%!" workload
+    (!best *. 1000.) (!best *. 1e9 /. float_of_int n) !wpo n

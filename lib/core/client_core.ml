@@ -283,14 +283,18 @@ type prefetcher = {
 
 let prefetcher () =
   {
-    pf_cache = Hashtbl.create 256;
+    (* Minimum size, grown on demand: at [readahead = 0] (the default) the
+       cache stays empty, and every client endpoint builds one. *)
+    pf_cache = Hashtbl.create 16;
     pf_inflight = None;
     pf_next = 0;
     pf_frontier = 0;
   }
 
-let prefetched_read (cluster : t) pf ~fetch ~from ~len =
-  let ra = cluster.cfg.Config.readahead in
+(* A read with [readahead > 0]: serve from the prefetch cache, fetch what
+   is missing, and keep one window in flight ahead of a sequential
+   reader. *)
+let readahead_read pf ~ra ~fetch ~from ~len =
   let sequential = from = pf.pf_next in
   pf.pf_next <- from + len;
   (* If an in-flight prefetch window overlaps this request, wait for it
@@ -319,7 +323,7 @@ let prefetched_read (cluster : t) pf ~fetch ~from ~len =
   (* Keep the pipeline primed: on a sequential pattern, fetch the next
      window in the background. One window in flight at a time — the
      consumer's next call waits on it if it outruns the prefetcher. *)
-  (if ra > 0 && sequential && pf.pf_inflight = None then
+  (if sequential && pf.pf_inflight = None then
      let lo = max (from + len) pf.pf_frontier in
      let hi = from + len + ra in
      if hi > lo then begin
@@ -339,6 +343,14 @@ let prefetched_read (cluster : t) pf ~fetch ~from ~len =
            Ivar.fill iv ())
      end);
   out
+
+let prefetched_read (cluster : t) pf ~fetch ~from ~len =
+  match cluster.cfg.Config.readahead with
+  | 0 ->
+    (* No window is ever in flight or cached, so the read is the fetch
+       itself ([fetch] answers in position order). *)
+    fetch (List.init len (fun i -> from + i))
+  | ra -> readahead_read pf ~ra ~fetch ~from ~len
 
 (* ---------- streaming subscriptions (lib/stream) ----------
 

@@ -130,20 +130,20 @@ let broadcast_stable_logs (cluster : t) ep ~new_gp ~new_gps =
    involving the follower's CPU (section 5.6) — crucial under load, where
    a CPU-path GC would queue behind thousands of incoming appends. We
    model it as a raw network round trip plus a direct state update,
-   guarded by the follower's view/seal state. *)
+   guarded by the follower's view/seal state. Neither hop blocks (the
+   state update and the ivar fill only wake waiters), so both run as bare
+   timer callbacks, not fibers. *)
 let rdma_gc (cluster : t) f ~view ~gps ~slots ~new_gp =
   let iv = Ivar.create () in
   let rtt = cluster.cfg.Config.link.Fabric.one_way * 2 in
-  Engine.after (rtt / 2) (fun () ->
-      if
+  Engine.call_after (rtt / 2) (fun () ->
+      let ok =
         Fabric.is_alive (Seq_replica.node f)
         && Seq_replica.view f = view
         && not (Seq_replica.is_sealed f)
-      then begin
-        Seq_replica.apply_gc f ~gps ~slots ~new_gp;
-        Engine.after (rtt / 2) (fun () -> ignore (Ivar.try_fill iv true))
-      end
-      else Engine.after (rtt / 2) (fun () -> ignore (Ivar.try_fill iv false)));
+      in
+      if ok then Seq_replica.apply_gc f ~gps ~slots ~new_gp;
+      Engine.call_after (rtt / 2) (fun () -> ignore (Ivar.try_fill iv ok)));
   iv
 
 (* Retry follower GC until every follower confirms (transient slowness) or

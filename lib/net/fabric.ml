@@ -161,9 +161,9 @@ let send t ~src ~dst ~size msg =
     let arrival = Engine.now () + delay in
     let key = fifo_key src.nid dst in
     let arrival =
-      match Hashtbl.find_opt t.last_arrival key with
-      | Some last -> if last >= arrival then last + 1 else arrival
-      | None ->
+      match Hashtbl.find t.last_arrival key with
+      | last -> if last >= arrival then last + 1 else arrival
+      | exception Not_found ->
         (* First traffic on this (src,dst): index the key on both
            endpoints for O(degree) crash cleanup. *)
         let ks = Slab.alloc (Obj.repr key) in

@@ -11,11 +11,13 @@ type ('req, 'resp) msg =
    dev an EWMA of the deviation (gain 1/4), and the score srtt + 4*dev is
    a cheap upper-percentile proxy. Samples are taken on every response at
    the demux, so scoring is always on; it draws nothing from the rng and
-   schedules nothing, keeping knob-off runs schedule-identical. *)
+   schedules nothing, keeping knob-off runs schedule-identical. Every
+   field is a float — the sample count too, exact far past any run — so
+   OCaml stores the record flat and an update boxes nothing. *)
 type peer_stats = {
   mutable ps_srtt : float;
   mutable ps_dev : float;
-  mutable ps_samples : int;
+  mutable ps_samples : float;
 }
 
 type 'resp pending_call = {
@@ -49,6 +51,7 @@ end
 type ('req, 'resp) endpoint = {
   fabric : ('req, 'resp) msg Fabric.t;
   node : ('req, 'resp) msg Fabric.node;
+  hname : string; (* handler fiber name, built once *)
   pending : (int, 'resp pending_call) Hashtbl.t;
   peers : (node_id, peer_stats) Hashtbl.t;
   mutable next_token : int;
@@ -125,15 +128,15 @@ let retry_budget t = t.budget
 
 let note_sample t dst rtt =
   let rtt = float_of_int rtt in
-  match Hashtbl.find_opt t.peers dst with
-  | None ->
+  match Hashtbl.find t.peers dst with
+  | exception Not_found ->
     Hashtbl.replace t.peers dst
-      { ps_srtt = rtt; ps_dev = rtt /. 2.0; ps_samples = 1 }
-  | Some ps ->
+      { ps_srtt = rtt; ps_dev = rtt /. 2.0; ps_samples = 1.0 }
+  | ps ->
     let err = rtt -. ps.ps_srtt in
     ps.ps_srtt <- ps.ps_srtt +. (0.125 *. err);
     ps.ps_dev <- ps.ps_dev +. (0.25 *. (Float.abs err -. ps.ps_dev));
-    ps.ps_samples <- ps.ps_samples + 1
+    ps.ps_samples <- ps.ps_samples +. 1.0
 
 let note_peer_sample t dst rtt = note_sample t dst rtt
 
@@ -144,7 +147,7 @@ let peer_score t dst =
 
 let peer_samples t dst =
   match Hashtbl.find_opt t.peers dst with
-  | Some ps -> ps.ps_samples
+  | Some ps -> int_of_float ps.ps_samples
   | None -> 0
 
 let forget_peer t dst = Hashtbl.remove t.peers dst
@@ -174,7 +177,7 @@ let serve t ~src req ~reply =
     if st > 0 then Engine.sleep st;
     (* The endpoint may have crashed while the request was "on CPU". *)
     if Fabric.is_alive t.node then
-      Engine.spawn ~name:(Fabric.name t.node ^ ".handler") (fun () ->
+      Engine.spawn ~name:t.hname (fun () ->
           h ~src req ~reply)
 
 let dispatch t ~src req ~reply =
@@ -190,12 +193,13 @@ let demux_loop t () =
     let src, m = Fabric.recv t.node in
     (match m with
     | Response (token, resp) -> (
-      match Hashtbl.find_opt t.pending token with
-      | Some pc ->
+      match Hashtbl.find t.pending token with
+      | pc ->
         Hashtbl.remove t.pending token;
         note_sample t pc.pc_dst (Engine.now () - pc.pc_sent);
         ignore (Ivar.try_fill pc.pc_iv resp)
-      | None -> () (* response to a call that already timed out *))
+      | exception Not_found ->
+        () (* response to a call that already timed out *))
     | Request (token, req) ->
       let replied = ref false in
       let reply ?(size = 64) resp =
@@ -216,6 +220,7 @@ let endpoint fabric node =
     {
       fabric;
       node;
+      hname = Fabric.name node ^ ".handler";
       pending = Hashtbl.create 32;
       peers = Hashtbl.create 8;
       next_token = 0;

@@ -37,7 +37,8 @@ let to_sec t = float_of_int t /. 1_000_000_000.
    allocating a record plus a dispatch closure. [kind] selects how the run
    loop fires the cell: *)
 let k_thunk = 0 (* payload : unit -> unit, called bare in the loop *)
-let k_cont = 1 (* payload : (unit, unit) continuation (a sleeping fiber) *)
+let k_cont = 1 (* payload : a sleeping fiber's continuation, or a woken
+                   waker (see [resume_cont]) *)
 let k_fiber = 2 (* payload : unit -> unit, started as a fiber via [exec] *)
 let k_dead = 3 (* cancelled timer awaiting reclamation (overflow heap) *)
 
@@ -100,15 +101,18 @@ let ovf_cmp a b =
     let c = Int.compare a.otie b.otie in
     if c <> 0 then c else Int.compare a.oseq b.oseq
 
-(* Reference scheduler: the pre-wheel representation, one boxed record and
-   one dispatch closure per event in a binary heap. [dead] is the lazy
-   form of cancellation: the wheel unlinks a cancelled cell eagerly, the
-   heap tombstones it and the run loop skips it on pop. *)
+(* Reference scheduler: the pre-wheel representation, one boxed record
+   per event in a binary heap, carrying the same kind/payload/name as a
+   wheel cell. [dead] is the lazy form of cancellation: the wheel unlinks
+   a cancelled cell eagerly, the heap tombstones it and the run loop
+   skips it on pop. *)
 type event = {
   at : time;
   tie : int;
   seq : int;
-  fn : unit -> unit;
+  kind : int;
+  payload : Obj.t;
+  name : string;
   mutable dead : bool;
 }
 
@@ -153,6 +157,10 @@ type state = {
   mutable rng : Random.State.t;
   mutable perturb_rng : Random.State.t option;
   mutable use_heap : bool;
+  (* arguments of the fiber effect being performed (see [Sleep]) *)
+  mutable arg_delay : time;
+  mutable arg_fn : Obj.t;
+  mutable arg_name : string;
   (* reference scheduler *)
   queue : event Heap.t;
   hcancel : (int, event) Hashtbl.t; (* seq -> cancellable pending event *)
@@ -204,6 +212,9 @@ let fresh_state () =
     rng = Random.State.make [| 0 |];
     perturb_rng = None;
     use_heap = Atomic.get default_use_heap;
+    arg_delay = 0;
+    arg_fn = unit_obj;
+    arg_name = no_name;
     queue = Heap.create ~cmp:event_cmp;
     hcancel = Hashtbl.create 64;
     heap_dead = 0;
@@ -578,74 +589,51 @@ let cancel tok =
 
 (* ---------- scheduling and fibers ---------- *)
 
+(* A waker is its own resumption cell payload: it holds the suspended
+   fiber's continuation and, once woken, the value to resume it with, so
+   {!wake} schedules the waker itself instead of a fresh closure. *)
 type 'a waker = {
   mutable fired : bool;
-  mutable resume : 'a -> unit;
+  k : Obj.t; (* ('a, unit) continuation *)
+  mutable value : Obj.t; (* the 'a passed to [wake] *)
   mutable deadline : timer;
 }
 
 let is_woken w = w.fired
 
+(* The fiber effects are constants, so [perform] allocates nothing beyond
+   the runtime's continuation: their arguments travel in the [arg_*]
+   slots of the domain-local [state], written immediately before the
+   [perform] and read first thing in the handler — nothing can run in
+   between. *)
 type _ Effect.t +=
-  | Sleep : time -> unit Effect.t
-  | Spawn : (string * (unit -> unit)) -> unit Effect.t
-  | Suspend : ('a waker -> unit) -> 'a Effect.t
+  | Sleep : unit Effect.t (* arg_delay *)
+  | Spawn : unit Effect.t (* arg_fn, arg_name *)
+  | Suspend : 'a Effect.t (* arg_fn: the ('a waker -> unit) register *)
 
-(* [exec], [schedule_cell] and [heap_fn] are mutually recursive: fibers
-   schedule cells from their effect handlers, and the reference scheduler
-   wraps fiber-start cells back into closures over [exec]. *)
-let rec exec name f =
-  let open Effect.Deep in
-  let s = state () in
-  s.fibers <- s.fibers + 1;
-  match_with f ()
-    {
-      retc = (fun () -> ());
-      exnc =
-        (fun e ->
-          match e with
-          | Fiber_failure _ -> raise e
-          | e -> raise (Fiber_failure (name, e)));
-      effc =
-        (fun (type a) (eff : a Effect.t) ->
-          match eff with
-          | Sleep d ->
-            Some
-              (fun (k : (a, unit) continuation) ->
-                schedule_cell s (s.clock + d) k_cont (Obj.repr k) no_name)
-          | Spawn (child_name, g) ->
-            Some
-              (fun (k : (a, unit) continuation) ->
-                schedule_cell s s.clock k_fiber (Obj.repr g) child_name;
-                continue k ())
-          | Suspend register ->
-            Some
-              (fun (k : (a, unit) continuation) ->
-                let w =
-                  {
-                    fired = false;
-                    resume = (fun v -> continue k v);
-                    deadline = no_timer;
-                  }
-                in
-                register w)
-          | _ -> None);
-    }
+(* Resume a continuation cell. Two payloads share the [k_cont] kind —
+   the 2-bit kind field has no room for a fifth — and the block tag tells
+   them apart: a bare continuation is a sleeping fiber (resumed with
+   [()]), anything else is a woken waker carrying its own value. *)
+let resume_cont payload =
+  if Obj.tag payload = Obj.cont_tag then
+    Effect.Deep.continue
+      (Obj.obj payload : (unit, unit) Effect.Deep.continuation)
+      ()
+  else
+    let w : Obj.t waker = Obj.obj payload in
+    Effect.Deep.continue
+      (Obj.obj w.k : (Obj.t, unit) Effect.Deep.continuation)
+      w.value
 
-and schedule_cell s at kind payload name =
+let schedule_cell s at kind payload name =
   let at = if at < s.clock then s.clock else at in
   s.seqno <- s.seqno + 1;
   match s.perturb_rng with
   | None ->
     if s.use_heap then
       Heap.push s.queue
-        {
-          at;
-          tie = 0;
-          seq = s.seqno;
-          fn = heap_fn kind payload name;
-          dead = false;
-        }
+        { at; tie = 0; seq = s.seqno; kind; payload; name; dead = false }
     else begin
       let c = alloc_cell s in
       Array.unsafe_set s.ev_i (4 * c) at;
@@ -659,7 +647,7 @@ and schedule_cell s at kind payload name =
     let tie = Random.State.bits prng in
     if s.use_heap then
       Heap.push s.queue
-        { at; tie; seq = s.seqno; fn = heap_fn kind payload name; dead = false }
+        { at; tie; seq = s.seqno; kind; payload; name; dead = false }
     else begin
       let c = alloc_cell s in
       Array.unsafe_set s.ev_i (4 * c) at;
@@ -671,11 +659,52 @@ and schedule_cell s at kind payload name =
       wheel_insert s ~ref_:s.clock c
     end
 
-and heap_fn kind payload name =
-  if kind = k_thunk then (Obj.obj payload : unit -> unit)
-  else if kind = k_cont then fun () ->
-    Effect.Deep.continue (Obj.obj payload : (unit, unit) Effect.Deep.continuation) ()
-  else fun () -> exec name (Obj.obj payload)
+(* The effect handlers are static closures and their [Some] wrappers are
+   preallocated, so [effc] builds nothing per [perform]. *)
+let on_sleep (k : (unit, unit) Effect.Deep.continuation) =
+  let s = state () in
+  schedule_cell s (s.clock + s.arg_delay) k_cont (Obj.repr k) no_name
+
+let on_spawn (k : (unit, unit) Effect.Deep.continuation) =
+  let s = state () in
+  schedule_cell s s.clock k_fiber s.arg_fn s.arg_name;
+  Effect.Deep.continue k ()
+
+let on_suspend (k : (Obj.t, unit) Effect.Deep.continuation) =
+  let s = state () in
+  let register : Obj.t waker -> unit = Obj.obj s.arg_fn in
+  register
+    { fired = false; k = Obj.repr k; value = unit_obj; deadline = no_timer }
+
+let some_sleep = Some on_sleep
+let some_spawn = Some on_spawn
+let some_suspend = Some on_suspend
+
+let effc (type a) (eff : a Effect.t) :
+    ((a, unit) Effect.Deep.continuation -> unit) option =
+  match eff with
+  | Sleep -> some_sleep
+  | Spawn -> some_spawn
+  | Suspend -> Obj.magic some_suspend
+  | _ -> None
+
+let retc () = ()
+
+(* Per fiber, only the failure handler is built: it is the one place the
+   fiber's name is needed. *)
+let exec name f =
+  let s = state () in
+  s.fibers <- s.fibers + 1;
+  Effect.Deep.match_with f ()
+    {
+      retc;
+      exnc =
+        (fun e ->
+          match e with
+          | Fiber_failure _ -> raise e
+          | e -> raise (Fiber_failure (name, e)));
+      effc;
+    }
 
 let schedule at fn = schedule_cell (state ()) at k_fiber (Obj.repr fn) "at"
 
@@ -683,6 +712,7 @@ let wake w v =
   if w.fired then false
   else begin
     w.fired <- true;
+    w.value <- Obj.repr v;
     (* A normal wake cancels the waker's armed deadline (if any), so a
        completed timed wait leaves no dead timer behind in the wheel.
        When the deadline itself is doing the waking, its cell/table entry
@@ -694,9 +724,11 @@ let wake w v =
       ignore (cancel t : bool));
     (* Resume on a fresh event so wake never re-enters the waker's fiber
        from the middle of the caller's slice: determinism and no surprise
-       reentrancy. *)
+       reentrancy. The waker is the cell's payload (see [resume_cont]):
+       the same [schedule_cell] call, at the same seqno, as the closure
+       it replaces. *)
     let s = state () in
-    schedule_cell s s.clock k_thunk (Obj.repr (fun () -> w.resume v)) no_name;
+    schedule_cell s s.clock k_cont (Obj.repr w) no_name;
     true
   end
 
@@ -709,22 +741,29 @@ let now () =
   s.clock
 
 let sleep d =
-  require_running "sleep";
-  Effect.perform (Sleep (if d < 0 then 0 else d))
+  let s = state () in
+  if not s.running then failwith "sleep: not inside Engine.run";
+  s.arg_delay <- (if d < 0 then 0 else d);
+  Effect.perform Sleep
 
 let sleep_until t =
   let n = now () in
   sleep (if t > n then t - n else 0)
 
 let spawn ?(name = "fiber") f =
-  require_running "spawn";
-  Effect.perform (Spawn (name, f))
+  let s = state () in
+  if not s.running then failwith "spawn: not inside Engine.run";
+  s.arg_fn <- Obj.repr f;
+  s.arg_name <- name;
+  Effect.perform Spawn
 
 let yield () = sleep 0
 
 let suspend register =
-  require_running "suspend";
-  Effect.perform (Suspend register)
+  let s = state () in
+  if not s.running then failwith "suspend: not inside Engine.run";
+  s.arg_fn <- Obj.repr register;
+  Effect.perform Suspend
 
 let at t fn =
   require_running "at";
@@ -762,10 +801,12 @@ let timer_at t fn =
         at;
         tie;
         seq;
-        fn =
-          (fun () ->
-            Hashtbl.remove s.hcancel seq;
-            fn ());
+        kind = k_thunk;
+        payload =
+          Obj.repr (fun () ->
+              Hashtbl.remove s.hcancel seq;
+              fn ());
+        name = no_name;
         dead = false;
       }
     in
@@ -843,6 +884,7 @@ let run ?(seed = 42) ?(perturb = false) ?until main =
     (if perturb then Some (Random.State.make [| seed; 0x7e27b6 |]) else None);
   let finish () =
     s.running <- false;
+    s.arg_fn <- unit_obj;
     Heap.clear s.queue;
     Hashtbl.reset s.hcancel;
     s.heap_dead <- 0;
@@ -863,7 +905,9 @@ let run ?(seed = 42) ?(perturb = false) ?until main =
               else begin
                 s.clock <- ev.at;
                 s.executed <- s.executed + 1;
-                ev.fn ()
+                if ev.kind = k_thunk then (Obj.obj ev.payload : unit -> unit) ()
+                else if ev.kind = k_cont then resume_cont ev.payload
+                else exec ev.name (Obj.obj ev.payload)
               end
           done
         end
@@ -925,11 +969,7 @@ let run ?(seed = 42) ?(perturb = false) ?until main =
                   else begin
                     free_cell s head;
                     if k = k_thunk then (Obj.obj payload : unit -> unit) ()
-                    else
-                      Effect.Deep.continue
-                        (Obj.obj payload
-                          : (unit, unit) Effect.Deep.continuation)
-                        ()
+                    else resume_cont payload
                   end;
                   (* Re-read the head: the dispatched event may have
                      scheduled into, or cancelled from, this slot. *)

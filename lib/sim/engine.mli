@@ -100,7 +100,7 @@ val call_at : time -> (unit -> unit) -> unit
     no fiber start cost and no closure beyond [f] itself. [f] must not
     perform fiber effects ({!sleep}, {!spawn}, {!suspend}) — use {!at}
     for callbacks that do. Calling {!now}, {!wake} or scheduling further
-    events from [f] is fine (wake thunks already run this way). *)
+    events from [f] is fine (deadline timers already run this way). *)
 
 val call_after : time -> (unit -> unit) -> unit
 (** [call_after d f] is [call_at (now () + d) f]. *)

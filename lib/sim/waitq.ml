@@ -9,7 +9,7 @@ let create () = { whead = Slab.nil; wtail = Slab.nil; n = 0 }
 
 let broadcast t =
   (* Detach the current waiter set first: wakes only schedule resumption
-     thunks, but any waiter re-parked by a reentrant use must land in a
+     cells, but any waiter re-parked by a reentrant use must land in a
      fresh list, exactly as the old snapshot-and-reverse did. *)
   let c = ref t.whead in
   t.whead <- Slab.nil;

@@ -104,7 +104,9 @@ let read t ~pos =
    read for their combined bytes — the device base cost amortizes across
    the group, mirroring what the flusher does on the write side. *)
 let read_many t positions =
-  let cold : (int, unit) Hashtbl.t = Hashtbl.create 8 in
+  (* Distinct cold segments, as a list: a read touches a handful at most,
+     and a read served wholly from cache allocates nothing for them. *)
+  let cold = ref [] in
   let cold_bytes = ref 0 in
   let hits =
     List.filter_map
@@ -113,8 +115,8 @@ let read_many t positions =
         | None -> None
         | Some (v, _) ->
           let seg = segment t pos in
-          if not (Hashtbl.mem t.cached seg || Hashtbl.mem cold seg) then begin
-            Hashtbl.add cold seg ();
+          if not (Hashtbl.mem t.cached seg || List.mem seg !cold) then begin
+            cold := seg :: !cold;
             match Hashtbl.find_opt t.seg_bytes seg with
             | Some r -> cold_bytes := !cold_bytes + !r
             | None -> ()
@@ -122,9 +124,9 @@ let read_many t positions =
           Some (pos, v))
       positions
   in
-  if Hashtbl.length cold > 0 then begin
+  if !cold <> [] then begin
     Disk.read t.disk ~bytes:!cold_bytes;
-    Hashtbl.iter (fun seg () -> Hashtbl.replace t.cached seg ()) cold
+    List.iter (fun seg -> Hashtbl.replace t.cached seg ()) !cold
   end;
   hits
 

@@ -419,6 +419,29 @@ let test_drop_probability () =
       let n = Fabric.inbox_length b in
       checkb "roughly half dropped" true (n > 60 && n < 140))
 
+(* Allocation budget: minor words per RPC round trip with a service time
+   (request, delivery, demux, service sleep, handler fiber, reply, response
+   demux, caller wake). Deterministic per build; the budget sits just
+   above the current cost. *)
+let test_rpc_call_words () =
+  let n = 10_000 in
+  let words = ref 0.0 in
+  Engine.run (fun () ->
+      let fab = Fabric.create () in
+      let sn, server, client = setup fab in
+      Rpc.set_service_time server (fun _ -> Engine.us 1);
+      Rpc.set_handler server (fun ~src:_ req ~reply ->
+          match req with Echo n | Slow n -> reply n);
+      let dst = Fabric.id sn in
+      ignore (Rpc.call client ~dst (Echo 0) : int);
+      let w0 = Gc.minor_words () in
+      for i = 1 to n do
+        ignore (Rpc.call client ~dst (Echo i) : int)
+      done;
+      words := (Gc.minor_words () -. w0) /. float_of_int n);
+  if !words > 128.0 then
+    Alcotest.failf "Rpc.call: %.2f words/op over the budget of 128" !words
+
 let () =
   Alcotest.run "net"
     [
@@ -443,6 +466,8 @@ let () =
       ( "rpc",
         [
           Alcotest.test_case "roundtrip" `Quick test_rpc_roundtrip;
+          Alcotest.test_case "allocation budget per call" `Quick
+            test_rpc_call_words;
           Alcotest.test_case "service time serializes" `Quick
             test_rpc_service_time_serializes;
           Alcotest.test_case "blocking handler does not stall" `Quick
