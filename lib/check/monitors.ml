@@ -1,5 +1,6 @@
 open Ll_sim
 open Ll_net
+open Ll_storage
 open Lazylog
 
 type violation = {
@@ -23,7 +24,7 @@ type t = {
   (* shard-side state *)
   stored_rids : (Types.Rid.t, unit) Hashtbl.t;
   nooped : (Types.Rid.t, unit) Hashtbl.t;
-  bindings : (int, int * Types.Rid.t) Hashtbl.t;  (* pos -> (shard, rid) *)
+  bindings : (int * Types.Rid.t) Mem_log.t;  (* pos -> (shard, rid) *)
   installed_views : (int, int) Hashtbl.t;  (* replica node -> last view *)
   (* exactly-once delivery: subscription name -> (from, next expected) *)
   subs : (string, int * int) Hashtbl.t;
@@ -93,7 +94,7 @@ let set_mie t ~log v =
    ordered ahead of it. O(1) per position. Real-time order is per-log:
    tenants of the multi-log fabric are independently ordered. *)
 let expose t pos =
-  match Hashtbl.find_opt t.bindings pos with
+  match Mem_log.get t.bindings pos with
   | None ->
     violate t "durability" "stable position %d was never bound on any shard"
       pos
@@ -177,7 +178,7 @@ let handle t (ev : Probe.event) =
     end
   | Shard_stored { shard; pos; rid } ->
     if rid.Types.Rid.client >= 0 then Hashtbl.replace t.stored_rids rid ();
-    (match Hashtbl.find_opt t.bindings pos with
+    (match Mem_log.get t.bindings pos with
     | Some (shard', rid')
       when pos < stable_for t ~log:(Logid.log_of pos)
            && (shard' <> shard || not (Types.Rid.equal rid' rid)) ->
@@ -185,7 +186,7 @@ let handle t (ev : Probe.event) =
         "stable position %d rebound: was %a on shard %d, now %a on shard %d"
         pos rid_pp rid' shard' rid_pp rid shard
     | _ -> ());
-    Hashtbl.replace t.bindings pos (shard, rid)
+    Mem_log.set t.bindings pos (shard, rid)
   | Shard_nooped { shard; pos; rid } ->
     Hashtbl.replace t.nooped rid ();
     if Hashtbl.mem t.acked rid then
@@ -202,11 +203,10 @@ let handle t (ev : Probe.event) =
     else
       (* Scoped to [from]'s log: a multi-log truncate names one tenant's
          frontier and must not forget other tenants' bindings. *)
-      Hashtbl.iter
-        (fun pos (sh, _) ->
-          if pos >= from && sh = shard && Logid.log_of pos = log then
-            Hashtbl.remove t.bindings pos)
-        (Hashtbl.copy t.bindings)
+      let stale = ref [] in
+      Logid.iter_log t.bindings ~from (fun pos (sh, _) ->
+          if sh = shard then stale := pos :: !stale);
+      List.iter (Mem_log.remove t.bindings) !stale
   | Read_served { shard; pos; rid } ->
     t.n_reads <- t.n_reads + 1;
     let stable = stable_for t ~log:(Logid.log_of pos) in
@@ -215,7 +215,7 @@ let handle t (ev : Probe.event) =
         "shard %d served position %d beyond the stable prefix %d" shard pos
         stable
     else begin
-      match Hashtbl.find_opt t.bindings pos with
+      match Mem_log.get t.bindings pos with
       | None ->
         violate t "read-agreement"
           "shard %d served position %d which was never bound" shard pos
@@ -254,7 +254,7 @@ let handle t (ev : Probe.event) =
            (Erwin-st's unresolved-data fillers) — a skipped client record
            is a lost or reordered delivery. *)
         for p = next to pos - 1 do
-          match Hashtbl.find_opt t.bindings p with
+          match Mem_log.get t.bindings p with
           | Some (_, r) when r.Types.Rid.client < 0 -> ()
           | Some (_, r) ->
             violate t "exactly-once"
@@ -267,7 +267,7 @@ let handle t (ev : Probe.event) =
                %d"
               name p pos
         done;
-        (match Hashtbl.find_opt t.bindings pos with
+        (match Mem_log.get t.bindings pos with
         | Some (_, r) when Types.Rid.equal r rid -> ()
         | Some (_, r) ->
           violate t "exactly-once"
@@ -291,7 +291,7 @@ let sub_pending t next =
   let rec scan p =
     if p >= t.stable then None
     else
-      match Hashtbl.find_opt t.bindings p with
+      match Mem_log.get t.bindings p with
       | Some (_, r) when r.Types.Rid.client >= 0 -> Some p
       | _ -> scan (p + 1)
   in
@@ -311,7 +311,7 @@ let finalize_delivery t =
     (fun name (_, next) ->
       match sub_pending t next with
       | Some p ->
-        let _, r = Hashtbl.find t.bindings p in
+        let _, r = Option.get (Mem_log.get t.bindings p) in
         violate t "exactly-once"
           "subscription %s never received record %a at stable position %d \
            (cursor stuck at %d, stable %d)"
@@ -357,7 +357,7 @@ let install ?(on_violation = fun _ -> ()) cluster =
       acked = Hashtbl.create 4096;
       stored_rids = Hashtbl.create 4096;
       nooped = Hashtbl.create 64;
-      bindings = Hashtbl.create 4096;
+      bindings = Mem_log.create ();
       installed_views = Hashtbl.create 8;
       subs = Hashtbl.create 4;
       stable = 0;

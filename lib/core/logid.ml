@@ -27,6 +27,16 @@ let pos_of packed = packed land max_pos
 
 let base ~log = log lsl shift
 
+exception Log_end
+
+let iter_log idx ~from f =
+  let last = from lor max_pos in
+  try
+    Ll_storage.Mem_log.iter idx ~from (fun pos v ->
+        if pos > last then raise_notrace Log_end;
+        f pos v)
+  with Log_end -> ()
+
 let pp fmt packed =
   if log_of packed = 0 then Format.fprintf fmt "%d" packed
   else Format.fprintf fmt "%d@%d" (pos_of packed) (log_of packed)

@@ -28,5 +28,11 @@ val pos_of : int -> int
 val base : log:int -> int
 (** [base ~log] is [pack ~log 0]: the first position of [log]. *)
 
+val iter_log :
+  'a Ll_storage.Mem_log.t -> from:int -> (int -> 'a -> unit) -> unit
+(** [iter_log idx ~from f] is {!Ll_storage.Mem_log.iter} from [from] that
+    stops at the end of [from]'s log: entries of higher logs are not
+    visited. *)
+
 val pp : Format.formatter -> int -> unit
 (** ["pos@log"], or just ["pos"] for log 0. *)

@@ -16,7 +16,7 @@ type replica = {
   staged_at : (Types.Rid.t, Engine.time) Hashtbl.t;
   nooped : (Types.Rid.t, unit) Hashtbl.t;
   staging_watch : Waitq.t;
-  map_log : (int, int) Hashtbl.t;  (* position -> shard id *)
+  map_log : int Mem_log.t;  (* position -> shard id *)
   (* Per-replica stable-gp mirror: the primary's is authoritative for the
      shard; backups keep their own (fed by the primary's relay, by client
      stable hints, and by the stable piggybacked on forwarded reads) so
@@ -73,7 +73,8 @@ let make_disk cfg =
    records at positions [>= frontier] back to staging and drops their map
    entries, so recovery may rebind them at different positions. Other
    logs' interleaved positions are untouched. One walk over the bound
-   entries covers every listed log; ordinary pushes carry no frontiers
+   entries covers every listed log, and the map is walked over each
+   listed log's range only; ordinary pushes carry no frontiers
    and skip it. *)
 let apply_truncate r fronts =
   if fronts <> [] then begin
@@ -94,12 +95,12 @@ let apply_truncate r fronts =
           Flushed_store.remove r.store ~pos:gp
         end)
       (Flushed_store.entries r.store);
-    let stale =
-      Hashtbl.fold
-        (fun gp _ acc -> if doomed gp then gp :: acc else acc)
-        r.map_log []
-    in
-    List.iter (Hashtbl.remove r.map_log) stale
+    Hashtbl.iter
+      (fun _ f ->
+        let stale = ref [] in
+        Logid.iter_log r.map_log ~from:f (fun gp _ -> stale := gp :: !stale);
+        List.iter (Mem_log.remove r.map_log) !stale)
+      by_log
   end
 
 (* [charged = true] pays the device for the record bytes (Erwin-m pushes,
@@ -118,7 +119,7 @@ let journal_record r (record : Types.record) =
   Flushed_store.append r.journal ~pos ~size:record.Types.size ()
 
 let record_map r chunk =
-  List.iter (fun (gp, sid) -> Hashtbl.replace r.map_log gp sid) chunk
+  List.iter (fun (gp, sid) -> Mem_log.set r.map_log gp sid) chunk
 
 (* Resolve one Erwin-st binding on a replica that is expected to hold the
    staged record: wait [data_wait_timeout] for in-flight data, then no-op
@@ -344,7 +345,7 @@ let handle_primary t ~src:_ (req : Proto.req) ~reply =
     let upto = min (stable_for r ~log) (from + count) in
     let chunk = ref [] in
     for gp = upto - 1 downto from do
-      match Hashtbl.find_opt r.map_log gp with
+      match Mem_log.get r.map_log gp with
       | Some sid -> chunk := (gp, sid) :: !chunk
       | None -> ()
     done;
@@ -465,7 +466,7 @@ let handle_backup t r ~src:_ (req : Proto.req) ~reply =
       let upto = min (stable_for r ~log) (from + count) in
       let chunk = ref [] in
       for gp = upto - 1 downto from do
-        match Hashtbl.find_opt r.map_log gp with
+        match Mem_log.get r.map_log gp with
         | Some sid -> chunk := (gp, sid) :: !chunk
         | None -> ()
       done;
@@ -510,7 +511,7 @@ let make_replica cfg fabric ~name =
     staged_at = Hashtbl.create 256;
     nooped = Hashtbl.create 64;
     staging_watch = Waitq.create ();
-    map_log = Hashtbl.create 1024;
+    map_log = Mem_log.create ();
     stable = 0;
     stables = Hashtbl.create 8;
     stable_watch = Waitq.create ();
@@ -584,7 +585,7 @@ let replace_backup t ~index =
   Hashtbl.iter (fun rid r -> Hashtbl.replace fresh.staging rid r) src.staging;
   Hashtbl.iter (fun rid at -> Hashtbl.replace fresh.staged_at rid at) src.staged_at;
   Hashtbl.iter (fun rid () -> Hashtbl.replace fresh.nooped rid ()) src.nooped;
-  Hashtbl.iter (fun gp sid -> Hashtbl.replace fresh.map_log gp sid) src.map_log;
+  Mem_log.iter src.map_log ~from:0 (Mem_log.set fresh.map_log);
   (* The copied prefix is readable on the fresh replica right away. *)
   fresh.stable <- src.stable;
   Hashtbl.iter (fun log g -> Hashtbl.replace fresh.stables log g) src.stables;

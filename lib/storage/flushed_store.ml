@@ -4,8 +4,8 @@ type 'a t = {
   disk : Disk.t;
   dirty_limit : int;
   entries_per_file : int;
-  log : ('a * int) Mem_log.t;
-  dirty : (int * int) Queue.t;  (* pos, size — values already in [log] *)
+  log : 'a Mem_log.t;
+  dirty : int Queue.t;  (* sizes of staged entries not yet on the device *)
   mutable dirty_bytes : int;
   seg_bytes : (int, int ref) Hashtbl.t;
   cached : (int, unit) Hashtbl.t;
@@ -24,8 +24,7 @@ let flusher t () =
     while
       (not (Queue.is_empty t.dirty)) && !batch_count < t.entries_per_file
     do
-      let _pos, size = Queue.pop t.dirty in
-      batch_bytes := !batch_bytes + size;
+      batch_bytes := !batch_bytes + Queue.pop t.dirty;
       incr batch_count
     done;
     Disk.write t.disk ~bytes:!batch_bytes;
@@ -59,13 +58,13 @@ let create ~disk ?(dirty_limit_bytes = 8 * 1024 * 1024)
 let segment t pos = pos / t.entries_per_file
 
 let stage t ~pos ~size v =
-  Mem_log.set t.log pos (v, size);
+  Mem_log.set t.log pos v;
   let seg = segment t pos in
   (match Hashtbl.find_opt t.seg_bytes seg with
   | Some r -> r := !r + size
   | None -> Hashtbl.add t.seg_bytes seg (ref size));
   Hashtbl.replace t.cached seg ();
-  Queue.push (pos, size) t.dirty;
+  Queue.push size t.dirty;
   t.dirty_bytes <- t.dirty_bytes + size
 
 let append t ~pos ~size v =
@@ -82,13 +81,13 @@ let append_batch t batch =
     Waitq.broadcast t.work
 
 let set_mem t ~pos v =
-  Mem_log.set t.log pos (v, 0);
+  Mem_log.set t.log pos v;
   Hashtbl.replace t.cached (segment t pos) ()
 
 let read t ~pos =
   match Mem_log.get t.log pos with
   | None -> None
-  | Some (v, _) ->
+  | Some _ as hit ->
     let seg = segment t pos in
     if not (Hashtbl.mem t.cached seg) then begin
       let bytes =
@@ -97,7 +96,7 @@ let read t ~pos =
       Disk.read t.disk ~bytes;
       Hashtbl.replace t.cached seg ()
     end;
-    Some v
+    hit
 
 (* Batched read fast path: one pass collects the hits and the distinct
    cold segments they touch, then the cold segments pay a single device
@@ -113,7 +112,7 @@ let read_many t positions =
       (fun pos ->
         match Mem_log.get t.log pos with
         | None -> None
-        | Some (v, _) ->
+        | Some v ->
           let seg = segment t pos in
           if not (Hashtbl.mem t.cached seg || List.mem seg !cold) then begin
             cold := seg :: !cold;
@@ -130,8 +129,7 @@ let read_many t positions =
   end;
   hits
 
-let mem_read t ~pos =
-  match Mem_log.get t.log pos with Some (v, _) -> Some v | None -> None
+let mem_read t ~pos = Mem_log.get t.log pos
 
 let length t = Mem_log.length t.log
 
@@ -145,4 +143,4 @@ let dirty_bytes t = t.dirty_bytes
 
 let flush_wait t = Waitq.await t.drained (fun () -> Queue.is_empty t.dirty)
 
-let entries t = List.map (fun (pos, (v, _)) -> (pos, v)) (Mem_log.to_list t.log)
+let entries t = Mem_log.to_list t.log

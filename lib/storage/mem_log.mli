@@ -34,9 +34,9 @@ val remove : 'a t -> int -> unit
     interleaved positions of other logs. *)
 
 val truncate : 'a t -> int -> unit
-(** [truncate t n] drops entries at positions [>= n]. Cost is
-    O(range) for dense logs, O(population) when the range is sparse
-    (packed multi-log positions). *)
+(** [truncate t n] drops entries at positions [>= n]. Cost is the
+    number of pages plus the slots of the pages in the range, however
+    wide the range (packed multi-log positions). *)
 
 val trim : 'a t -> int -> unit
 (** [trim t n] discards entries at positions [< n]. *)

@@ -1,5 +1,5 @@
 (* Tests for the storage substrate: mem log, ring buffer, disk model,
-   segment log, and the write-buffered store. *)
+   and the write-buffered store. *)
 
 open Ll_sim
 open Ll_storage
@@ -33,6 +33,164 @@ let test_mem_log_trim_truncate () =
     "survivors"
     [ (4, 4); (5, 5); (6, 6) ]
     (Mem_log.to_list l)
+
+(* Multi-log packing: the log id sits above bit 40 (as in [Logid]). *)
+let packed ~log pos = (log lsl 40) lor pos
+
+(* [1 lsl 40] (log 1, position 0) and [256] hash alike under the
+   polymorphic hash, which folds the high 32 bits onto the low ones; the
+   index must still keep them apart. *)
+let test_mem_log_hash_collision () =
+  let hi = packed ~log:1 0 in
+  checki "keys collide under Hashtbl.hash" (Hashtbl.hash 256)
+    (Hashtbl.hash hi);
+  let l = Mem_log.create () in
+  Mem_log.set l hi "log1";
+  Mem_log.set l 256 "log0";
+  Alcotest.(check (option string)) "high" (Some "log1") (Mem_log.get l hi);
+  Alcotest.(check (option string)) "low" (Some "log0") (Mem_log.get l 256);
+  Alcotest.(check (list (pair int string)))
+    "ascending" [ (256, "log0"); (hi, "log1") ] (Mem_log.to_list l);
+  Mem_log.remove l 256;
+  Alcotest.(check (option string)) "high survives" (Some "log1")
+    (Mem_log.get l hi);
+  Alcotest.(check (option string)) "low removed" None (Mem_log.get l 256)
+
+module Oracle = Map.Make (Int)
+
+type mem_op =
+  | Set of int * int
+  | Remove of int
+  | Truncate of int
+  | Trim of int
+  | Get of int
+  | Iter of int
+
+let pp_mem_op = function
+  | Set (p, v) -> Printf.sprintf "set %d %d" p v
+  | Remove p -> Printf.sprintf "remove %d" p
+  | Truncate p -> Printf.sprintf "truncate %d" p
+  | Trim p -> Printf.sprintf "trim %d" p
+  | Get p -> Printf.sprintf "get %d" p
+  | Iter p -> Printf.sprintf "iter %d" p
+
+(* Packed positions over 80 logs, most of them in four hot logs so that
+   ranges and lookups hit stored entries, clustered around the first page
+   boundaries so pages straddle and fill with holes. *)
+let gen_pos =
+  QCheck.Gen.(
+    map3
+      (fun log page off -> packed ~log (max 0 ((page * 1024) + off)))
+      (frequency [ (3, int_bound 3); (1, int_bound 79) ])
+      (int_bound 3) (int_range (-3) 3))
+
+let gen_mem_op =
+  QCheck.Gen.(
+    frequency
+      [
+        (8, map2 (fun p v -> Set (p, v)) gen_pos small_nat);
+        (2, map (fun p -> Remove p) gen_pos);
+        (1, map (fun p -> Truncate p) gen_pos);
+        (1, map (fun p -> Trim p) gen_pos);
+        (3, map (fun p -> Get p) gen_pos);
+        (1, map (fun p -> Iter p) gen_pos);
+      ])
+
+(* The oracle: a map of the visible entries plus [first]/[length]. *)
+let prop_mem_log_matches_map =
+  QCheck.Test.make ~name:"mem_log matches a Map oracle" ~count:500
+    (QCheck.make
+       ~print:(fun ops -> String.concat "; " (List.map pp_mem_op ops))
+       QCheck.Gen.(list_size (int_bound 150) gen_mem_op))
+    (fun ops ->
+      let l = Mem_log.create () in
+      let m = ref Oracle.empty and first = ref 0 and next = ref 0 in
+      let from_of p = Oracle.filter (fun k _ -> k >= p) !m in
+      List.for_all
+        (fun op ->
+          (match op with
+          | Set (p, v) ->
+            Mem_log.set l p v;
+            if p >= !first then m := Oracle.add p v !m;
+            next := max !next (p + 1);
+            true
+          | Remove p ->
+            Mem_log.remove l p;
+            m := Oracle.remove p !m;
+            true
+          | Truncate n ->
+            Mem_log.truncate l n;
+            let n = max n !first in
+            if n < !next then begin
+              m := Oracle.filter (fun k _ -> k < n) !m;
+              next := n
+            end;
+            true
+          | Trim n ->
+            Mem_log.trim l n;
+            let n = min n !next in
+            if n > !first then begin
+              m := from_of n;
+              first := n
+            end;
+            true
+          | Get p -> Mem_log.get l p = Oracle.find_opt p !m
+          | Iter p ->
+            let seen = ref [] in
+            Mem_log.iter l ~from:p (fun k v -> seen := (k, v) :: !seen);
+            List.rev !seen = Oracle.bindings (from_of p))
+          && Mem_log.to_list l = Oracle.bindings !m
+          && Mem_log.first l = !first
+          && Mem_log.length l = !next)
+        ops)
+
+(* --- Allocation budgets ---
+
+   Words are counted across both heaps, so a page array (allocated
+   directly in the major heap) counts as much as a minor-heap cell. An
+   overwrite costs nothing; a fresh entry costs about one word, its share
+   of a page. The fill budget of 2 words is half of what a hash table
+   keyed by position pays for its 4-word bucket cell alone. *)
+
+let words_allocated () =
+  let minor, promoted, major = Gc.counters () in
+  minor +. major -. promoted
+
+let check_budget what ~budget words =
+  if words > budget then
+    Alcotest.failf "%s: %.2f words/op over the budget of %.1f" what words
+      budget
+
+(* Overwrites inside pages that already exist: no page, no cell, no box. *)
+let test_mem_log_set_words () =
+  let l = Mem_log.create () in
+  for pos = 0 to 1023 do
+    Mem_log.set l pos pos
+  done;
+  let n = 100_000 in
+  let w0 = words_allocated () in
+  for i = 1 to n do
+    Mem_log.set l (i land 1023) i
+  done;
+  check_budget "steady-state set" ~budget:0.5
+    ((words_allocated () -. w0) /. float_of_int n)
+
+(* 100 interleaved logs x 10^4 fresh positions each, as a shard's map of
+   the multi-log fabric sees them; page arrays and the page table
+   included. *)
+let test_mem_log_fill_words () =
+  let logs = 100 and per_log = 10_000 in
+  let w0 = words_allocated () in
+  let l = Mem_log.create () in
+  for pos = 0 to per_log - 1 do
+    for log = 0 to logs - 1 do
+      Mem_log.set l (packed ~log pos) pos
+    done
+  done;
+  let words = words_allocated () -. w0 in
+  checki "all present" (logs * per_log) (List.length (Mem_log.to_list l));
+  check_budget "fill 100 logs" ~budget:2.0
+    (words /. float_of_int (logs * per_log))
 
 (* --- Ring buffer --- *)
 
@@ -158,28 +316,6 @@ let test_disk_stutter () =
       Disk.write d ~bytes:0;
       checki "post-stall op healthy" (Engine.us 10) (Engine.now () - t2))
 
-(* --- Segment log --- *)
-
-let test_segment_log_cold_read () =
-  Engine.run (fun () ->
-      let disk = Disk.create ~base_latency:(Engine.us 10) ~ns_per_byte:0.0 () in
-      let l = Segment_log.create ~disk ~entries_per_file:4 () in
-      for i = 0 to 7 do
-        Segment_log.write l ~pos:i ~size:100 (string_of_int i)
-      done;
-      let ops_before = Disk.ops disk in
-      (* Freshly written segments are hot. *)
-      Alcotest.(check (option string)) "hot read" (Some "3")
-        (Segment_log.read l ~pos:3);
-      checki "no device read" ops_before (Disk.ops disk);
-      Segment_log.evict_cache l;
-      Alcotest.(check (option string)) "cold read" (Some "3")
-        (Segment_log.read l ~pos:3);
-      checki "one device read" (ops_before + 1) (Disk.ops disk);
-      (* second read of same segment is cached *)
-      ignore (Segment_log.read l ~pos:2);
-      checki "cached" (ops_before + 1) (Disk.ops disk))
-
 (* --- Flushed store --- *)
 
 let test_flushed_store_async_drain () =
@@ -234,6 +370,16 @@ let () =
         [
           Alcotest.test_case "basic" `Quick test_mem_log_basic;
           Alcotest.test_case "trim/truncate" `Quick test_mem_log_trim_truncate;
+          Alcotest.test_case "hash-colliding keys distinct" `Quick
+            test_mem_log_hash_collision;
+        ]
+        @ qc [ prop_mem_log_matches_map ] );
+      ( "alloc",
+        [
+          Alcotest.test_case "mem_log steady-state set" `Quick
+            test_mem_log_set_words;
+          Alcotest.test_case "mem_log fill 100 logs" `Quick
+            test_mem_log_fill_words;
         ] );
       ( "ring_buffer",
         [
@@ -248,8 +394,6 @@ let () =
           Alcotest.test_case "fail-slow degrade" `Quick test_disk_degrade;
           Alcotest.test_case "fail-slow stutter" `Quick test_disk_stutter;
         ] );
-      ( "segment_log",
-        [ Alcotest.test_case "cold read" `Quick test_segment_log_cold_read ] );
       ( "flushed_store",
         [
           Alcotest.test_case "async drain" `Quick test_flushed_store_async_drain;
