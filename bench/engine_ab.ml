@@ -7,7 +7,7 @@
      engine_ab.exe <workload> <n-events> <reps>
 
    Workloads: timer-callback | mixed-hop | deep-timer | deep-fiber |
-   ready-ivar | ready-mailbox | rpc-hop
+   ready-ivar | ready-mailbox | rpc-hop | seq-log | seq-log-100k
 
    Each rep prints CPU ns/op next to minor words/op ([Gc.minor_words]
    over the whole run, setup included): allocation is deterministic, so
@@ -123,6 +123,29 @@ let rpc_hops n =
         ignore (Rpc.call client ~dst i : int)
       done)
 
+(* One sequencing-log entry per op, no engine: [clients] round-robin
+   producers append a batch of 64, the orderer claims it and GC removes
+   it (append + claim + remove_ordered, as on a replica). The driver
+   allocates each entry, the rid list and the claimed array itself. *)
+let seq_log_cycles ~clients n =
+  let open Lazylog in
+  let t = Seq_log.create ~capacity:1_000_000 in
+  let batch = 64 in
+  let seqs = Array.make clients 0 in
+  for i = 0 to (n / batch) - 1 do
+    for k = 0 to batch - 1 do
+      let c = ((i * batch) + k) mod clients in
+      seqs.(c) <- seqs.(c) + 1;
+      let rid = { Types.Rid.client = c; seq = seqs.(c) } in
+      ignore
+        (Seq_log.try_append t (Types.Data (Types.record ~rid ~size:64 ()))
+          : Seq_log.append_result option)
+    done;
+    let claimed = Seq_log.claim_unordered t ~max:batch in
+    Seq_log.remove_ordered t
+      (Array.fold_right (fun e acc -> Types.entry_rid e :: acc) claimed [])
+  done
+
 let () =
   let workload = Sys.argv.(1) in
   let n = int_of_string Sys.argv.(2) in
@@ -136,6 +159,8 @@ let () =
     | "ready-ivar" -> ready_ivar
     | "ready-mailbox" -> ready_mailbox
     | "rpc-hop" -> rpc_hops
+    | "seq-log" -> seq_log_cycles ~clients:8
+    | "seq-log-100k" -> seq_log_cycles ~clients:100_000
     | w -> failwith ("unknown workload: " ^ w)
   in
   Ll_sim.Engine.set_scheduler `Wheel;

@@ -180,12 +180,15 @@ let run_saturation () =
 let ring_test =
   Test.make ~name:"ring_buffer append+gc"
     (Staged.stage (fun () ->
-         let r = Ll_storage.Ring_buffer.create ~capacity:64 in
+         let r = Ll_storage.Ring_buffer.create ~capacity:64 () in
          for i = 0 to 255 do
-           ignore (Ll_storage.Ring_buffer.try_append r i);
-           if Ll_storage.Ring_buffer.is_full r then
-             Ll_storage.Ring_buffer.advance_head r
-               (Ll_storage.Ring_buffer.head r + 32)
+           ignore (Ll_storage.Ring_buffer.append r i : int);
+           if Ll_storage.Ring_buffer.length r = 64 then begin
+             let h = Ll_storage.Ring_buffer.head r in
+             for slot = h to h + 31 do
+               Ll_storage.Ring_buffer.remove r slot
+             done
+           end
          done))
 
 let heap_test =

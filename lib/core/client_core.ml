@@ -275,7 +275,7 @@ let read_grouped ?rr (cluster : t) ep ~shard_of positions =
    synchronous [fetch] — the pre-readahead behavior, event for event. *)
 
 type prefetcher = {
-  pf_cache : (int, Types.record) Hashtbl.t;  (* prefetched, not yet consumed *)
+  pf_cache : Types.record Itbl.t;  (* prefetched, not yet consumed *)
   mutable pf_inflight : (int * int * unit Ivar.t) option;  (* window [lo, hi) *)
   mutable pf_next : int;  (* the [from] a sequential reader would ask next *)
   mutable pf_frontier : int;  (* first position no fetch has covered yet *)
@@ -285,7 +285,7 @@ let prefetcher () =
   {
     (* Minimum size, grown on demand: at [readahead = 0] (the default) the
        cache stays empty, and every client endpoint builds one. *)
-    pf_cache = Hashtbl.create 16;
+    pf_cache = Itbl.create 16;
     pf_inflight = None;
     pf_next = 0;
     pf_frontier = 0;
@@ -304,18 +304,18 @@ let readahead_read pf ~ra ~fetch ~from ~len =
   | _ -> ());
   let positions = List.init len (fun i -> from + i) in
   let missing =
-    List.filter (fun p -> not (Hashtbl.mem pf.pf_cache p)) positions
+    List.filter (fun p -> not (Itbl.mem pf.pf_cache p)) positions
   in
   if missing <> [] then
     List.iter
-      (fun (gp, r) -> Hashtbl.replace pf.pf_cache gp r)
+      (fun (gp, r) -> Itbl.replace pf.pf_cache gp r)
       (fetch missing);
   let out =
     List.filter_map
       (fun p ->
-        match Hashtbl.find_opt pf.pf_cache p with
+        match Itbl.find_opt pf.pf_cache p with
         | Some r ->
-          Hashtbl.remove pf.pf_cache p;
+          Itbl.remove pf.pf_cache p;
           Some (p, r)
         | None -> None)
       positions
@@ -333,7 +333,7 @@ let readahead_read pf ~ra ~fetch ~from ~len =
        Engine.spawn ~name:"client.readahead" (fun () ->
            (try
               List.iter
-                (fun (gp, r) -> Hashtbl.replace pf.pf_cache gp r)
+                (fun (gp, r) -> Itbl.replace pf.pf_cache gp r)
                 (fetch (List.init (hi - lo) (fun i -> lo + i)))
             with _ ->
               (* A failed prefetch is not a failed read: the consumer

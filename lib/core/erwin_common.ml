@@ -71,8 +71,8 @@ type t = {
   (* Multi-log fabric: per-tenant stable frontiers and demand cursors for
      logs > 0, as packed positions ([stable_gp] / [demand_upto] scalars
      keep serving log 0, so a log-0 workload never touches them). *)
-  stable_gps : (int, int) Hashtbl.t;
-  demand_uptos : (int, int) Hashtbl.t;
+  stable_gps : int Itbl.t;
+  demand_uptos : int Itbl.t;
   order_wake : Waitq.t;
   mutable orderer_node : Fabric.node_id option;
   mutable on_stable : (int -> unit) option;
@@ -117,8 +117,8 @@ let create ~cfg ~mode =
       metrics = fresh_metrics ();
       append_batcher = None;
       demand_upto = 0;
-      stable_gps = Hashtbl.create 16;
-      demand_uptos = Hashtbl.create 16;
+      stable_gps = Itbl.create 16;
+      demand_uptos = Itbl.create 16;
       order_wake = Waitq.create ();
       orderer_node = None;
       on_stable = None;
@@ -153,9 +153,9 @@ let shard_of_position t p =
 let stable_for t ~log =
   if log = 0 then t.stable_gp
   else
-    match Hashtbl.find_opt t.stable_gps log with
-    | Some g -> g
-    | None -> Logid.base ~log
+    match Itbl.find t.stable_gps log with
+    | g -> g
+    | exception Not_found -> Logid.base ~log
 
 let note_stable_log t gp =
   let log = Logid.log_of gp in
@@ -163,16 +163,16 @@ let note_stable_log t gp =
     if gp > t.stable_gp then t.stable_gp <- gp
   end
   else
-    match Hashtbl.find_opt t.stable_gps log with
-    | Some g when g >= gp -> ()
-    | _ -> Hashtbl.replace t.stable_gps log gp
+    match Itbl.find t.stable_gps log with
+    | g when g >= gp -> ()
+    | _ | (exception Not_found) -> Itbl.replace t.stable_gps log gp
 
 let demand_for t ~log =
   if log = 0 then t.demand_upto
   else
-    match Hashtbl.find_opt t.demand_uptos log with
-    | Some g -> g
-    | None -> Logid.base ~log
+    match Itbl.find t.demand_uptos log with
+    | g -> g
+    | exception Not_found -> Logid.base ~log
 
 let note_demand t upto =
   let log = Logid.log_of upto in
@@ -180,12 +180,12 @@ let note_demand t upto =
     if upto > t.demand_upto then t.demand_upto <- upto
   end
   else
-    match Hashtbl.find_opt t.demand_uptos log with
-    | Some g when g >= upto -> ()
-    | _ -> Hashtbl.replace t.demand_uptos log upto
+    match Itbl.find t.demand_uptos log with
+    | g when g >= upto -> ()
+    | _ | (exception Not_found) -> Itbl.replace t.demand_uptos log upto
 
 let demand_logs t =
-  Hashtbl.fold (fun log upto acc -> (log, upto) :: acc) t.demand_uptos []
+  Itbl.fold (fun log upto acc -> (log, upto) :: acc) t.demand_uptos []
 
 let add_shard t =
   let s =

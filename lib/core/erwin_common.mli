@@ -76,11 +76,11 @@ type t = {
       (** read-demand cursor: shards asked for binding up to this position
           (exclusive); max-merged by [Sr_order_demand], consumed by the
           orderer when [cfg.read_demand] *)
-  stable_gps : (int, int) Hashtbl.t;
+  stable_gps : int Itbl.t;
       (** multi-log fabric: per-tenant stable frontiers for logs > 0
           (packed positions, keyed by log id; log 0 stays in
           [stable_gp]). Access through {!stable_for}/{!note_stable_log}. *)
-  demand_uptos : (int, int) Hashtbl.t;
+  demand_uptos : int Itbl.t;
       (** per-tenant read-demand cursors for logs > 0 (same layout). *)
   order_wake : Waitq.t;
       (** broadcast when a new demand arrives so the orderer cuts its idle

@@ -41,7 +41,7 @@ type tenant = {
 type t = {
   cfg : Config.t;
   replica : int;  (* fabric node id, for probe events *)
-  tenants : (int, tenant) Hashtbl.t;
+  tenants : tenant Itbl.t;  (* keyed by log *)
   active : int Queue.t;  (* DRR round: logs with queued work *)
   work : Waitq.t;
 }
@@ -52,9 +52,9 @@ let weight_of (cfg : Config.t) log =
   | _ -> 1
 
 let tenant t log =
-  match Hashtbl.find_opt t.tenants log with
-  | Some ten -> ten
-  | None ->
+  match Itbl.find t.tenants log with
+  | ten -> ten
+  | exception Not_found ->
     let ten =
       {
         log;
@@ -68,7 +68,7 @@ let tenant t log =
         shed = 0;
       }
     in
-    Hashtbl.add t.tenants log ten;
+    Itbl.add t.tenants log ten;
     ten
 
 (* Token-bucket admission, charged per record: a request is admitted
@@ -116,7 +116,7 @@ let drain_loop t () =
   let rec loop () =
     Waitq.await t.work (fun () -> not (Queue.is_empty t.active));
     let log = Queue.pop t.active in
-    let ten = Hashtbl.find t.tenants log in
+    let ten = Itbl.find t.tenants log in
     ten.deficit <- ten.deficit + (t.cfg.Config.drr_quantum * ten.weight);
     let stop = ref false in
     while not !stop do
@@ -142,7 +142,7 @@ let drain_loop t () =
 type stats = { st_admitted : int; st_shed : int; st_queued : int }
 
 let stats t ~log =
-  match Hashtbl.find_opt t.tenants log with
+  match Itbl.find_opt t.tenants log with
   | None -> { st_admitted = 0; st_shed = 0; st_queued = 0 }
   | Some ten ->
     {
@@ -152,7 +152,7 @@ let stats t ~log =
     }
 
 let queued_total t =
-  Hashtbl.fold (fun _ ten acc -> acc + Queue.length ten.queue) t.tenants 0
+  Itbl.fold (fun _ ten acc -> acc + Queue.length ten.queue) t.tenants 0
 
 (* Install on a sequencing replica's endpoint. [view] reads the replica's
    current view for shed replies (a shed is a failed append in the
@@ -163,7 +163,7 @@ let install ~cfg ~view ep =
     {
       cfg;
       replica = Ll_net.Rpc.endpoint_id ep;
-      tenants = Hashtbl.create 64;
+      tenants = Itbl.create 64;
       active = Queue.create ();
       work = Waitq.create ();
     }

@@ -190,7 +190,10 @@ end
    is authoritative). Returns the slots plus the [(log, frontier)] list
    for tenant logs this batch advanced; the table tracking those is
    allocated on the first tenant entry, so a log-0 batch allocates no
-   table. *)
+   table. That seen-logs table keeps the polymorphic hash on purpose: its
+   fold order is the order of [new_gps], which sets the order the
+   [Sh_set_stable] messages go out in, so a different hash would change
+   the schedule. *)
 let assign_positions slog ~next0 ~tbl (entries : Types.entry array) =
   let seen = ref None in
   let slots =
@@ -204,11 +207,11 @@ let assign_positions slog ~next0 ~tbl (entries : Types.entry array) =
         end
         else begin
           let g =
-            match Hashtbl.find_opt tbl log with
-            | Some g -> g
-            | None -> Seq_log.last_ordered_gp_for slog ~log
+            match Itbl.find tbl log with
+            | g -> g
+            | exception Not_found -> Seq_log.last_ordered_gp_for slog ~log
           in
-          Hashtbl.replace tbl log (g + 1);
+          Itbl.replace tbl log (g + 1);
           (match !seen with
           | Some logs -> Hashtbl.replace logs log ()
           | None ->
@@ -224,7 +227,7 @@ let assign_positions slog ~next0 ~tbl (entries : Types.entry array) =
   | Some logs ->
     let new_gps =
       Hashtbl.fold
-        (fun log () acc -> (log, Hashtbl.find tbl log) :: acc)
+        (fun log () acc -> (log, Itbl.find tbl log) :: acc)
         logs []
     in
     (slots, new_gps)
@@ -364,7 +367,7 @@ let pipelined_loop (cluster : t) ep =
       in
       loop ());
   let next_gp = ref 0 in
-  let next_gps : (int, int) Hashtbl.t = Hashtbl.create 16 in
+  let next_gps : int Itbl.t = Itbl.create 16 in
   let pipe_view = ref (-1) in
   let rec loop () =
     Waitq.await cluster.order_idle (fun () ->
@@ -381,7 +384,7 @@ let pipelined_loop (cluster : t) ep =
           cluster.order_resync <- false
         end;
         next_gp := Seq_log.last_ordered_gp (Seq_replica.log r);
-        Hashtbl.reset next_gps
+        Itbl.reset next_gps
       | [] -> ());
       pipe_view := cluster.view
     end;

@@ -60,7 +60,9 @@ let run_view_change (cluster : t) ep ~detect ?(exclude = fun _ -> false) () =
        half-pushed positions — log 0, any log with a replicated frontier,
        and any log with a surviving entry — from that frontier. Truncation
        is per log: a numeric cut would destroy other logs' interleaved
-       tails. *)
+       tails. [fronts] and [tbl] keep the polymorphic hash on purpose:
+       their fold order is the order of [truncate_logs] and [new_gps] on
+       the wire, and so of the stable broadcasts. *)
     let fronts = Hashtbl.create 8 in
     Hashtbl.replace fronts 0 gp;
     List.iter (fun (lg, g) -> Hashtbl.replace fronts lg g) gps;

@@ -1,20 +1,24 @@
 open Ll_sim
 
+module Ring_buffer = Ll_storage.Ring_buffer
+
 type t = {
   capacity : int;
-  entries : (int, Types.entry) Hashtbl.t;  (* slot -> live entry *)
-  by_rid : (Types.Rid.t, int) Hashtbl.t;  (* live rid -> slot *)
-  ordered_seq : (int, int) Hashtbl.t;  (* client -> max ordered seq *)
-  mutable first : int;  (* lowest possibly-live slot *)
-  mutable next : int;  (* next slot *)
+  (* Slot -> live entry. The ring's head is the lowest live slot and its
+     tail the next slot; GC punches holes and the head skips them. *)
+  ring : Types.entry Ring_buffer.t;
+  by_rid : int Types.Rid_tbl.t;  (* live rid -> slot *)
+  (* Client -> max ordered seq, -1 for none. Client ids are dense (drawn
+     from a counter), so this is an array, doubled on demand. *)
+  mutable ordered_seq : int array;
   mutable live : int;
   mutable gp : int;
   (* Multi-log fabric: per-log last-ordered frontier and live count for
      logs beyond 0 (log 0 stays in the scalar [gp] / implied live count,
      so the single-log path is untouched). Frontiers are packed positions
      ({!Logid}). *)
-  gps : (int, int) Hashtbl.t;
-  live_logs : (int, int) Hashtbl.t;
+  gps : int Itbl.t;
+  live_logs : int Itbl.t;
   mutable live_other : int;  (* total live entries in logs > 0 *)
   (* Pipelined ordering: slots below [claimed] belong to an in-flight
      ordering batch and must not be claimed again; [claimed_live] counts
@@ -27,15 +31,13 @@ type t = {
 let create ~capacity =
   {
     capacity;
-    entries = Hashtbl.create 1024;
-    by_rid = Hashtbl.create 1024;
-    ordered_seq = Hashtbl.create 64;
-    first = 0;
-    next = 0;
+    ring = Ring_buffer.create ~capacity:1024 ();
+    by_rid = Types.Rid_tbl.create 1024;
+    ordered_seq = Array.make 64 (-1);
     live = 0;
     gp = 0;
-    gps = Hashtbl.create 8;
-    live_logs = Hashtbl.create 8;
+    gps = Itbl.create 8;
+    live_logs = Itbl.create 8;
     live_other = 0;
     claimed = 0;
     claimed_live = 0;
@@ -44,27 +46,30 @@ let create ~capacity =
 
 type append_result = Appended | Duplicate
 
+(* Request ids are non-negative, so the -1 of an unseen client orders
+   nothing. *)
 let already_ordered t (rid : Types.Rid.t) =
-  match Hashtbl.find_opt t.ordered_seq rid.client with
-  | Some s -> rid.seq <= s
-  | None -> false
+  let c = rid.client in
+  c >= 0
+  && c < Array.length t.ordered_seq
+  && rid.seq <= Array.unsafe_get t.ordered_seq c
 
-let is_duplicate t rid = Hashtbl.mem t.by_rid rid || already_ordered t rid
+let is_duplicate t rid =
+  Types.Rid_tbl.mem t.by_rid rid || already_ordered t rid
 
 let bump_live t lg d =
   if lg <> 0 then begin
     t.live_other <- t.live_other + d;
     let cur =
-      match Hashtbl.find_opt t.live_logs lg with Some n -> n | None -> 0
+      match Itbl.find t.live_logs lg with n -> n | exception Not_found -> 0
     in
-    Hashtbl.replace t.live_logs lg (cur + d)
+    Itbl.replace t.live_logs lg (cur + d)
   end
 
 let do_append t e =
-  let slot = t.next in
-  Hashtbl.replace t.entries slot e;
-  Hashtbl.replace t.by_rid (Types.entry_rid e) slot;
-  t.next <- slot + 1;
+  let slot = Ring_buffer.append t.ring e in
+  (* Callers filter duplicates first, so the rid is not bound yet. *)
+  Types.Rid_tbl.add t.by_rid (Types.entry_rid e) slot;
   t.live <- t.live + 1;
   bump_live t (Types.entry_log e) 1
 
@@ -137,16 +142,10 @@ let kick t = Waitq.broadcast t.space
 let unordered t ?max () =
   let limit = match max with Some m -> m | None -> t.live in
   let acc = ref [] in
-  let taken = ref 0 in
-  let slot = ref t.first in
-  while !taken < limit && !slot < t.next do
-    (match Hashtbl.find_opt t.entries !slot with
-    | Some e ->
-      acc := e :: !acc;
-      incr taken
-    | None -> ());
-    incr slot
-  done;
+  ignore
+    (Ring_buffer.iter_from t.ring ~from:(Ring_buffer.head t.ring) ~max:limit
+       (fun e -> acc := e :: !acc)
+      : int);
   List.rev !acc
 
 let live_count t = t.live
@@ -159,71 +158,69 @@ let unclaimed_count t = t.live - t.claimed_live
    stay live (they still hold capacity and are returned by {!unordered}
    for recovery flushes) but later claims skip them. *)
 let claim_unordered t ~max =
-  let start = if t.claimed < t.first then t.first else t.claimed in
+  let head = Ring_buffer.head t.ring in
+  let start = if t.claimed < head then head else t.claimed in
   let avail = t.live - t.claimed_live in
   let want = if max < avail then max else avail in
   if want <= 0 then [||]
   else begin
     let out = Array.make want (Types.Data Types.no_op) in
     let taken = ref 0 in
-    let slot = ref start in
-    while !taken < want && !slot < t.next do
-      (match Hashtbl.find_opt t.entries !slot with
-      | Some e ->
-        out.(!taken) <- e;
-        incr taken
-      | None -> ());
-      incr slot
-    done;
-    t.claimed <- !slot;
+    t.claimed <-
+      Ring_buffer.iter_from t.ring ~from:start ~max:want (fun e ->
+          out.(!taken) <- e;
+          incr taken);
     t.claimed_live <- t.claimed_live + !taken;
     if !taken = want then out else Array.sub out 0 !taken
   end
 
 let reset_claims t =
-  t.claimed <- t.first;
+  t.claimed <- Ring_buffer.head t.ring;
   t.claimed_live <- 0
 
+(* The no-op rid (client -1) is never recorded. *)
 let note_ordered t (rid : Types.Rid.t) =
-  if rid.client >= 0 then begin
-    match Hashtbl.find_opt t.ordered_seq rid.client with
-    | Some s when s >= rid.seq -> ()
-    | _ -> Hashtbl.replace t.ordered_seq rid.client rid.seq
+  let c = rid.client in
+  if c >= 0 then begin
+    let n = Array.length t.ordered_seq in
+    if c >= n then begin
+      let m = ref (2 * n) in
+      while c >= !m do
+        m := 2 * !m
+      done;
+      let a = Array.make !m (-1) in
+      Array.blit t.ordered_seq 0 a 0 n;
+      t.ordered_seq <- a
+    end;
+    if t.ordered_seq.(c) < rid.seq then t.ordered_seq.(c) <- rid.seq
   end
 
-let advance_first t =
-  while t.first < t.next && not (Hashtbl.mem t.entries t.first) do
-    t.first <- t.first + 1
-  done
-
+(* Removing the entry at the ring's head advances the head over the holes
+   behind it: the paper's GC moving the head pointer. *)
 let remove_ordered t rids =
   List.iter
     (fun rid ->
       note_ordered t rid;
-      match Hashtbl.find_opt t.by_rid rid with
-      | Some slot ->
-        (match Hashtbl.find_opt t.entries slot with
-        | Some e -> bump_live t (Types.entry_log e) (-1)
-        | None -> ());
-        Hashtbl.remove t.entries slot;
-        Hashtbl.remove t.by_rid rid;
+      match Types.Rid_tbl.find t.by_rid rid with
+      | slot ->
+        bump_live t (Types.entry_log (Ring_buffer.find t.ring slot)) (-1);
+        Ring_buffer.remove t.ring slot;
+        Types.Rid_tbl.remove t.by_rid rid;
         t.live <- t.live - 1;
         if slot < t.claimed then t.claimed_live <- t.claimed_live - 1
-      | None -> ())
+      | exception Not_found -> ())
     rids;
-  advance_first t;
   Waitq.broadcast t.space
 
 let mark_ordered t rids = List.iter (note_ordered t) rids
 
 let clear t =
-  Hashtbl.reset t.entries;
-  Hashtbl.reset t.by_rid;
+  Ring_buffer.clear t.ring;
+  Types.Rid_tbl.reset t.by_rid;
   t.live <- 0;
-  Hashtbl.reset t.live_logs;
+  Itbl.reset t.live_logs;
   t.live_other <- 0;
-  t.first <- t.next;
-  t.claimed <- t.next;
+  t.claimed <- Ring_buffer.tail t.ring;
   t.claimed_live <- 0;
   Waitq.broadcast t.space
 
@@ -236,23 +233,23 @@ let set_last_ordered_gp t gp = t.gp <- gp
 let last_ordered_gp_for t ~log =
   if log = 0 then t.gp
   else
-    match Hashtbl.find_opt t.gps log with
-    | Some g -> g
-    | None -> Logid.base ~log
+    match Itbl.find t.gps log with
+    | g -> g
+    | exception Not_found -> Logid.base ~log
 
 let set_last_ordered_gp_for t ~log g =
-  if log = 0 then t.gp <- g else Hashtbl.replace t.gps log g
+  if log = 0 then t.gp <- g else Itbl.replace t.gps log g
 
-let log_gps t = Hashtbl.fold (fun log g acc -> (log, g) :: acc) t.gps []
+let log_gps t = Itbl.fold (fun log g acc -> (log, g) :: acc) t.gps []
 
 let set_log_gps t gps =
-  Hashtbl.reset t.gps;
-  List.iter (fun (log, g) -> Hashtbl.replace t.gps log g) gps
+  Itbl.reset t.gps;
+  List.iter (fun (log, g) -> Itbl.replace t.gps log g) gps
 
 let live_count_for t ~log =
   if log = 0 then t.live - t.live_other
-  else match Hashtbl.find_opt t.live_logs log with Some n -> n | None -> 0
+  else match Itbl.find t.live_logs log with n -> n | exception Not_found -> 0
 
-let mem t rid = Hashtbl.mem t.by_rid rid
+let mem t rid = Types.Rid_tbl.mem t.by_rid rid
 
-let known t rid = Hashtbl.mem t.by_rid rid || already_ordered t rid
+let known = is_duplicate

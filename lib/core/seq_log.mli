@@ -1,19 +1,23 @@
 (** The per-sequencing-replica log.
 
-    Conceptually the paper's ring buffer (section 5.6): entries are
-    appended at the tail and garbage collection frees space from the front.
-    Because acknowledged entries appear on every replica but possibly
-    interleaved with unacknowledged ones, followers must be able to remove
-    an arbitrary {e set} of entries (the batch the leader just ordered),
-    not only a prefix — so the implementation is an ordered log with
-    rid-keyed tombstoning plus a live-entry capacity bound that exerts
-    backpressure on appends.
+    The paper's ring buffer (section 5.6), as an {!Ll_storage.Ring_buffer}:
+    entries are appended at the tail and garbage collection moves the
+    head. Because acknowledged entries appear on every replica but
+    possibly interleaved with unacknowledged ones, followers must be able
+    to remove an arbitrary {e set} of entries (the batch the leader just
+    ordered), not only a prefix — so GC punches holes by slot (found
+    through a rid-keyed index) and the head advances over them. A
+    live-entry capacity bound exerts backpressure on appends; the ring
+    itself grows rather than refusing an entry.
 
     The log also owns the duplicate filter (section 4.5: "If the retries
     result in duplicates, Erwin correctly filters them using request-ids"):
     an entry is a duplicate if its rid is still live in the log, or if a
     rid with an equal-or-higher sequence number from the same client has
-    already been ordered. *)
+    already been ordered. The highest ordered request id is kept per
+    client in an array indexed by client id (ids are dense and request
+    ids non-negative); the no-op rid's negative client is never
+    recorded. *)
 
 
 type t

@@ -11,8 +11,8 @@ type t = {
   mutable sealed : bool;
   (* appendSync support: rids appended with [track = true] get their bound
      position remembered so Sr_wait_ordered can answer. *)
-  tracked : (Types.Rid.t, unit) Hashtbl.t;
-  bound_gp : (Types.Rid.t, int) Hashtbl.t;
+  tracked : unit Types.Rid_tbl.t;
+  bound_gp : int Types.Rid_tbl.t;
   bound_watch : Waitq.t;
   (* Replicated subscription cursors (lib/stream): name -> (epoch, cursor).
      Max-merged on cursor, so lost or reordered one-way syncs only lag the
@@ -37,9 +37,9 @@ let ingress t = t.fair
 let record_bindings t slots =
   List.iter
     (fun (gp, rid) ->
-      if Hashtbl.mem t.tracked rid then begin
-        Hashtbl.remove t.tracked rid;
-        Hashtbl.replace t.bound_gp rid gp
+      if Types.Rid_tbl.mem t.tracked rid then begin
+        Types.Rid_tbl.remove t.tracked rid;
+        Types.Rid_tbl.replace t.bound_gp rid gp
       end)
     slots;
   Waitq.broadcast t.bound_watch
@@ -56,7 +56,7 @@ let handle t ~src:_ (req : Proto.req) ~reply =
     if view <> t.view || t.sealed then
       reply (Proto.R_append { ok = false; view = t.view })
     else begin
-      if track then Hashtbl.replace t.tracked (Types.entry_rid entry) ();
+      if track then Types.Rid_tbl.replace t.tracked (Types.entry_rid entry) ();
       (* Blocks under backpressure; gives up if sealed meanwhile. *)
       match
         Seq_log.append_or_wait t.slog entry ~cancel:(fun () ->
@@ -80,7 +80,7 @@ let handle t ~src:_ (req : Proto.req) ~reply =
     else begin
       List.iter
         (fun (e, track) ->
-          if track then Hashtbl.replace t.tracked (Types.entry_rid e) ())
+          if track then Types.Rid_tbl.replace t.tracked (Types.entry_rid e) ())
         batch;
       match
         Seq_log.append_batch_or_wait t.slog (List.map fst batch)
@@ -159,8 +159,8 @@ let handle t ~src:_ (req : Proto.req) ~reply =
         (Probe.View_installed { replica = Fabric.id t.node; view = new_view });
     reply Proto.R_ok
   | Sr_wait_ordered { rid } ->
-    Waitq.await t.bound_watch (fun () -> Hashtbl.mem t.bound_gp rid);
-    reply (Proto.R_gp { gp = Hashtbl.find t.bound_gp rid })
+    Waitq.await t.bound_watch (fun () -> Types.Rid_tbl.mem t.bound_gp rid);
+    reply (Proto.R_gp { gp = Types.Rid_tbl.find t.bound_gp rid })
   | St_cursor_sync { name; epoch; cursor } ->
     (* One-way from the subscription manager. Max-merge: a newer epoch
        always wins (the cursor may legitimately regress across a manager
@@ -219,8 +219,8 @@ let create ~cfg ~fabric ~name:rname =
       slog = Seq_log.create ~capacity:cfg.Config.seq_capacity;
       view = 0;
       sealed = false;
-      tracked = Hashtbl.create 64;
-      bound_gp = Hashtbl.create 64;
+      tracked = Types.Rid_tbl.create 64;
+      bound_gp = Types.Rid_tbl.create 64;
       bound_watch = Waitq.create ();
       sub_cursors = Hashtbl.create 8;
       fair = None;

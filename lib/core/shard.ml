@@ -1,6 +1,7 @@
 open Ll_sim
 open Ll_net
 open Ll_storage
+module Rid_tbl = Types.Rid_tbl
 
 type replica = {
   node : (Proto.req, Proto.resp) Rpc.msg Fabric.node;
@@ -12,9 +13,9 @@ type replica = {
          to the device) here; binding later only updates the position
          index in memory *)
   mutable journal_pos : int;
-  staging : (Types.Rid.t, Types.record) Hashtbl.t;
-  staged_at : (Types.Rid.t, Engine.time) Hashtbl.t;
-  nooped : (Types.Rid.t, unit) Hashtbl.t;
+  staging : Types.record Rid_tbl.t;
+  staged_at : Engine.time Rid_tbl.t;
+  nooped : unit Rid_tbl.t;
   staging_watch : Waitq.t;
   map_log : int Mem_log.t;  (* position -> shard id *)
   (* Per-replica stable-gp mirror: the primary's is authoritative for the
@@ -25,7 +26,7 @@ type replica = {
      keyed by log id with packed values. One watch covers all logs —
      waiters re-check their own predicate. *)
   mutable stable : int;
-  stables : (int, int) Hashtbl.t;
+  stables : int Itbl.t;
   stable_watch : Waitq.t;
 }
 
@@ -45,9 +46,9 @@ type t = {
 let stable_for r ~log =
   if log = 0 then r.stable
   else
-    match Hashtbl.find_opt r.stables log with
-    | Some g -> g
-    | None -> Logid.base ~log
+    match Itbl.find r.stables log with
+    | g -> g
+    | exception Not_found -> Logid.base ~log
 
 let shard_id t = t.sid
 let primary_id t = Fabric.id t.primary.node
@@ -57,7 +58,7 @@ let stable_gp_for t ~log = stable_for t.primary ~log
 let set_demand_target t dst = t.demand_target <- dst
 let read_local t pos = Flushed_store.read t.primary.store ~pos
 let bound_positions t = Flushed_store.entries t.primary.store
-let staged_count t = Hashtbl.length t.primary.staging
+let staged_count t = Rid_tbl.length t.primary.staging
 
 let replica_disk t i =
   let replicas = t.primary :: t.backups in
@@ -78,24 +79,24 @@ let make_disk cfg =
    and skip it. *)
 let apply_truncate r fronts =
   if fronts <> [] then begin
-    let by_log = Hashtbl.create 8 in
-    List.iter (fun f -> Hashtbl.replace by_log (Logid.log_of f) f) fronts;
+    let by_log = Itbl.create 8 in
+    List.iter (fun f -> Itbl.replace by_log (Logid.log_of f) f) fronts;
     let doomed gp =
-      match Hashtbl.find_opt by_log (Logid.log_of gp) with
-      | Some f -> gp >= f
-      | None -> false
+      match Itbl.find by_log (Logid.log_of gp) with
+      | f -> gp >= f
+      | exception Not_found -> false
     in
     List.iter
       (fun (gp, (rec_ : Types.record)) ->
         if doomed gp then begin
           if not (Types.is_no_op rec_) then begin
-            Hashtbl.replace r.staging rec_.Types.rid rec_;
-            Hashtbl.replace r.staged_at rec_.Types.rid 0
+            Rid_tbl.replace r.staging rec_.Types.rid rec_;
+            Rid_tbl.replace r.staged_at rec_.Types.rid 0
           end;
           Flushed_store.remove r.store ~pos:gp
         end)
       (Flushed_store.entries r.store);
-    Hashtbl.iter
+    Itbl.iter
       (fun _ f ->
         let stale = ref [] in
         Logid.iter_log r.map_log ~from:f (fun gp _ -> stale := gp :: !stale);
@@ -125,19 +126,19 @@ let record_map r chunk =
    staged record: wait [data_wait_timeout] for in-flight data, then no-op
    (section 5.4). Returns the bound record. *)
 let resolve_binding cfg r rid =
-  let found () = Hashtbl.mem r.staging rid in
+  let found () = Rid_tbl.mem r.staging rid in
   if not (found ()) then
     ignore
       (Waitq.await_timeout r.staging_watch
          ~timeout:cfg.Config.data_wait_timeout found
         : bool);
-  match Hashtbl.find_opt r.staging rid with
-  | Some rec_ ->
-    Hashtbl.remove r.staging rid;
-    Hashtbl.remove r.staged_at rid;
+  match Rid_tbl.find r.staging rid with
+  | rec_ ->
+    Rid_tbl.remove r.staging rid;
+    Rid_tbl.remove r.staged_at rid;
     rec_
-  | None ->
-    Hashtbl.replace r.nooped rid ();
+  | exception Not_found ->
+    Rid_tbl.replace r.nooped rid ();
     Types.no_op
 
 (* Probe points are primary-only: the primary's bindings are the
@@ -178,10 +179,10 @@ let note_stable r gp =
     end
   end
   else
-    match Hashtbl.find_opt r.stables log with
-    | Some g when g >= gp -> ()
-    | _ ->
-      Hashtbl.replace r.stables log gp;
+    match Itbl.find r.stables log with
+    | g when g >= gp -> ()
+    | _ | (exception Not_found) ->
+      Itbl.replace r.stables log gp;
       Waitq.broadcast r.stable_watch
 
 (* Position [p] is readable once its own log's frontier passes it. *)
@@ -239,13 +240,13 @@ let handle_primary t ~src:_ (req : Proto.req) ~reply =
     ignore (Ivar.join_all acks);
     reply Proto.R_ok
   | Ssh_data_write { record } ->
-    if Hashtbl.mem r.nooped record.Types.rid then
+    if Rid_tbl.mem r.nooped record.Types.rid then
       reply (Proto.R_append { ok = false; view = 0 })
     else begin
       (* A retry of an already-staged rid must not hit the device again. *)
-      let fresh = not (Hashtbl.mem r.staging record.Types.rid) in
-      Hashtbl.replace r.staging record.Types.rid record;
-      Hashtbl.replace r.staged_at record.Types.rid (Engine.now ());
+      let fresh = not (Rid_tbl.mem r.staging record.Types.rid) in
+      Rid_tbl.replace r.staging record.Types.rid record;
+      Rid_tbl.replace r.staged_at record.Types.rid (Engine.now ());
       Waitq.broadcast r.staging_watch;
       (* Durability: the staged bytes go to the device (with
          backpressure); the ack is sent once journaled. *)
@@ -396,12 +397,12 @@ let handle_backup t r ~src:_ (req : Proto.req) ~reply =
     store_slots r slots;
     reply Proto.R_ok
   | Ssh_data_write { record } ->
-    if Hashtbl.mem r.nooped record.Types.rid then
+    if Rid_tbl.mem r.nooped record.Types.rid then
       reply (Proto.R_append { ok = false; view = 0 })
     else begin
-      let fresh = not (Hashtbl.mem r.staging record.Types.rid) in
-      Hashtbl.replace r.staging record.Types.rid record;
-      Hashtbl.replace r.staged_at record.Types.rid (Engine.now ());
+      let fresh = not (Rid_tbl.mem r.staging record.Types.rid) in
+      Rid_tbl.replace r.staging record.Types.rid record;
+      Rid_tbl.replace r.staged_at record.Types.rid (Engine.now ());
       Waitq.broadcast r.staging_watch;
       if fresh then journal_record r record;
       reply (Proto.R_append { ok = true; view = 0 })
@@ -413,18 +414,18 @@ let handle_backup t r ~src:_ (req : Proto.req) ~reply =
       List.filter_map
         (fun (gp, rid) ->
           if List.exists (Types.Rid.equal rid) noops then begin
-            Hashtbl.replace r.nooped rid ();
-            Hashtbl.remove r.staging rid;
-            Hashtbl.remove r.staged_at rid;
+            Rid_tbl.replace r.nooped rid ();
+            Rid_tbl.remove r.staging rid;
+            Rid_tbl.remove r.staged_at rid;
             Some (gp, Types.no_op)
           end
           else
-            match Hashtbl.find_opt r.staging rid with
-            | Some rec_ ->
-              Hashtbl.remove r.staging rid;
-              Hashtbl.remove r.staged_at rid;
+            match Rid_tbl.find r.staging rid with
+            | rec_ ->
+              Rid_tbl.remove r.staging rid;
+              Rid_tbl.remove r.staged_at rid;
               Some (gp, rec_)
-            | None ->
+            | exception Not_found ->
               missing := rid :: !missing;
               None)
         bindings
@@ -507,13 +508,13 @@ let make_replica cfg fabric ~name =
       Flushed_store.create ~disk
         ~dirty_limit_bytes:cfg.Config.dirty_limit_bytes ();
     journal_pos = 0;
-    staging = Hashtbl.create 256;
-    staged_at = Hashtbl.create 256;
-    nooped = Hashtbl.create 64;
+    staging = Rid_tbl.create 256;
+    staged_at = Rid_tbl.create 256;
+    nooped = Rid_tbl.create 64;
     staging_watch = Waitq.create ();
     map_log = Mem_log.create ();
     stable = 0;
-    stables = Hashtbl.create 8;
+    stables = Itbl.create 8;
     stable_watch = Waitq.create ();
   }
 
@@ -582,13 +583,13 @@ let replace_backup t ~index =
   in
   copy_missing ();
   (* Unordered (staged) records and the map log come along too. *)
-  Hashtbl.iter (fun rid r -> Hashtbl.replace fresh.staging rid r) src.staging;
-  Hashtbl.iter (fun rid at -> Hashtbl.replace fresh.staged_at rid at) src.staged_at;
-  Hashtbl.iter (fun rid () -> Hashtbl.replace fresh.nooped rid ()) src.nooped;
+  Rid_tbl.iter (Rid_tbl.replace fresh.staging) src.staging;
+  Rid_tbl.iter (Rid_tbl.replace fresh.staged_at) src.staged_at;
+  Rid_tbl.iter (Rid_tbl.replace fresh.nooped) src.nooped;
   Mem_log.iter src.map_log ~from:0 (Mem_log.set fresh.map_log);
   (* The copied prefix is readable on the fresh replica right away. *)
   fresh.stable <- src.stable;
-  Hashtbl.iter (fun log g -> Hashtbl.replace fresh.stables log g) src.stables;
+  Itbl.iter (Itbl.replace fresh.stables) src.stables;
   (* Swap in, then catch up on anything pushed during the bulk copy. *)
   t.backups <- List.mapi (fun i b -> if i = index then fresh else b) t.backups;
   copy_missing ()
@@ -598,15 +599,15 @@ let backup_ids t = List.map (fun b -> Fabric.id b.node) t.backups
 let start_scrubber t ~age ~every =
   let scrub r =
     let doomed =
-      Hashtbl.fold
+      Rid_tbl.fold
         (fun rid at acc ->
           if Engine.now () - at > age then rid :: acc else acc)
         r.staged_at []
     in
     List.iter
       (fun rid ->
-        Hashtbl.remove r.staging rid;
-        Hashtbl.remove r.staged_at rid)
+        Rid_tbl.remove r.staging rid;
+        Rid_tbl.remove r.staged_at rid)
       doomed
   in
   Engine.spawn ~name:(Printf.sprintf "shard%d.scrubber" t.sid) (fun () ->

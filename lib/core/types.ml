@@ -7,10 +7,15 @@ module Rid = struct
 
   let equal a b = a.client = b.client && a.seq = b.seq
 
-  let hash a = Hashtbl.hash (a.client, a.seq)
+  (* Mixes both fields without building a tuple: Fibonacci hashing of
+     [client * K + seq], as in [Ll_sim.Itbl]. *)
+  let hash a =
+    (((a.client * 0x1E3779B97F4A7C15) + a.seq) * 0x1E3779B97F4A7C15) lsr 32
 
   let pp fmt a = Format.fprintf fmt "%d.%d" a.client a.seq
 end
+
+module Rid_tbl = Hashtbl.Make (Rid)
 
 (* [log] is the tenant log the record belongs to (0 unless appended
    through a tenant handle); it rides with the record so the sequencing

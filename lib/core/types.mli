@@ -12,6 +12,10 @@ module Rid : sig
   val pp : Format.formatter -> t -> unit
 end
 
+(** Tables keyed by record id, hashed by {!Rid.hash} (which allocates
+    nothing) and compared by {!Rid.equal}. *)
+module Rid_tbl : Hashtbl.S with type key = Rid.t
+
 (** A log record. [data] is a small correctness tag carried through the
     system; [size] is the modeled payload size in bytes (what the network
     and disks are charged for); [log] is the tenant log it belongs to

@@ -54,12 +54,12 @@ type 'm t = {
   mutable nnodes : int;
   (* FIFO enforcement: earliest time the next message on (src,dst) may
      arrive, keyed by the packed pair. *)
-  last_arrival : (int, Engine.time) Hashtbl.t;
-  partitions : (int, unit) Hashtbl.t;
+  last_arrival : Engine.time Itbl.t;
+  partitions : unit Itbl.t;
   (* Directed link faults, keyed by the packed (src, dst) key. The hot
      path guards on the table being empty, so healthy runs pay one length
      check per send and draw nothing from the rng. *)
-  link_faults : (int, lfault) Hashtbl.t;
+  link_faults : lfault Itbl.t;
   mutable drop_p : float;
   mutable sent : int;
   mutable sent_bytes : int;
@@ -79,9 +79,9 @@ let create ?(link = default_link) ?seed () =
     rng = Rng.create ~seed;
     nodes = [||];
     nnodes = 0;
-    last_arrival = Hashtbl.create 64;
-    partitions = Hashtbl.create 8;
-    link_faults = Hashtbl.create 8;
+    last_arrival = Itbl.create 64;
+    partitions = Itbl.create 8;
+    link_faults = Itbl.create 8;
     drop_p = 0.0;
     sent = 0;
     sent_bytes = 0;
@@ -122,15 +122,18 @@ let node_by_id t i =
 
 let node_count t = t.nnodes
 
-let partitioned t a b = Hashtbl.mem t.partitions (pair_key a b)
+(* Checked at send and again at delivery: healthy runs have no partition,
+   so the empty-table check spares them two lookups per message. *)
+let partitioned t a b =
+  Itbl.length t.partitions > 0 && Itbl.mem t.partitions (pair_key a b)
 
 let send t ~src ~dst ~size msg =
   let dst_node = t.nodes.(dst) in
   (* Directed link fault, if any. Empty-table check first: healthy runs
      must not pay a hash lookup (or draw from the rng) per message. *)
   let lf =
-    if Hashtbl.length t.link_faults = 0 then None
-    else Hashtbl.find_opt t.link_faults (fifo_key src.nid dst)
+    if Itbl.length t.link_faults = 0 then None
+    else Itbl.find_opt t.link_faults (fifo_key src.nid dst)
   in
   if
     src.alive && dst_node.alive
@@ -161,7 +164,7 @@ let send t ~src ~dst ~size msg =
     let arrival = Engine.now () + delay in
     let key = fifo_key src.nid dst in
     let arrival =
-      match Hashtbl.find t.last_arrival key with
+      match Itbl.find t.last_arrival key with
       | last -> if last >= arrival then last + 1 else arrival
       | exception Not_found ->
         (* First traffic on this (src,dst): index the key on both
@@ -174,7 +177,7 @@ let send t ~src ~dst ~size msg =
         dst_node.fifo_keys <- kd;
         arrival
     in
-    Hashtbl.replace t.last_arrival key arrival;
+    Itbl.replace t.last_arrival key arrival;
     let sender = src.nid in
     (* Bare callback: delivery only re-checks liveness and enqueues, no
        fiber effects, so it skips the fiber-start cost per hop. *)
@@ -202,7 +205,7 @@ let crash t n =
      index makes this O(degree). *)
   let c = ref n.fifo_keys in
   while !c >= 0 do
-    Hashtbl.remove t.last_arrival (Obj.obj (Slab.get !c) : int);
+    Itbl.remove t.last_arrival (Obj.obj (Slab.get !c) : int);
     let next = Slab.next !c in
     Slab.free !c;
     c := next
@@ -213,21 +216,21 @@ let recover _t n = n.alive <- true
 
 let is_alive n = n.alive
 
-let partition t a b = Hashtbl.replace t.partitions (pair_key a b) ()
+let partition t a b = Itbl.replace t.partitions (pair_key a b) ()
 
-let heal t a b = Hashtbl.remove t.partitions (pair_key a b)
+let heal t a b = Itbl.remove t.partitions (pair_key a b)
 
 let set_drop_probability t p = t.drop_p <- p
 
 let set_link_fault t ~src ~dst ?(delay = 0) ?(drop_p = 0.0) () =
-  Hashtbl.replace t.link_faults (fifo_key src dst)
+  Itbl.replace t.link_faults (fifo_key src dst)
     { lf_delay = delay; lf_drop_p = drop_p }
 
 let clear_link_fault t ~src ~dst =
-  Hashtbl.remove t.link_faults (fifo_key src dst)
+  Itbl.remove t.link_faults (fifo_key src dst)
 
 let link_fault t ~src ~dst =
-  match Hashtbl.find_opt t.link_faults (fifo_key src dst) with
+  match Itbl.find_opt t.link_faults (fifo_key src dst) with
   | Some { lf_delay; lf_drop_p } -> Some (lf_delay, lf_drop_p)
   | None -> None
 

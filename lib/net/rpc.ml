@@ -52,8 +52,8 @@ type ('req, 'resp) endpoint = {
   fabric : ('req, 'resp) msg Fabric.t;
   node : ('req, 'resp) msg Fabric.node;
   hname : string; (* handler fiber name, built once *)
-  pending : (int, 'resp pending_call) Hashtbl.t;
-  peers : (node_id, peer_stats) Hashtbl.t;
+  pending : 'resp pending_call Itbl.t;
+  peers : peer_stats Itbl.t;  (* keyed by node id *)
   mutable next_token : int;
   mutable handler :
     (src:node_id -> 'req -> reply:(?size:int -> 'resp -> unit) -> unit)
@@ -128,9 +128,9 @@ let retry_budget t = t.budget
 
 let note_sample t dst rtt =
   let rtt = float_of_int rtt in
-  match Hashtbl.find t.peers dst with
+  match Itbl.find t.peers dst with
   | exception Not_found ->
-    Hashtbl.replace t.peers dst
+    Itbl.replace t.peers dst
       { ps_srtt = rtt; ps_dev = rtt /. 2.0; ps_samples = 1.0 }
   | ps ->
     let err = rtt -. ps.ps_srtt in
@@ -141,16 +141,16 @@ let note_sample t dst rtt =
 let note_peer_sample t dst rtt = note_sample t dst rtt
 
 let peer_score t dst =
-  match Hashtbl.find_opt t.peers dst with
+  match Itbl.find_opt t.peers dst with
   | Some ps -> Some (ps.ps_srtt +. (4.0 *. ps.ps_dev))
   | None -> None
 
 let peer_samples t dst =
-  match Hashtbl.find_opt t.peers dst with
+  match Itbl.find_opt t.peers dst with
   | Some ps -> int_of_float ps.ps_samples
   | None -> 0
 
-let forget_peer t dst = Hashtbl.remove t.peers dst
+let forget_peer t dst = Itbl.remove t.peers dst
 
 let hedge_deadline t ~dsts ~floor =
   (* Lower-median of the peers' scores: an adaptive "this is how long a
@@ -193,9 +193,9 @@ let demux_loop t () =
     let src, m = Fabric.recv t.node in
     (match m with
     | Response (token, resp) -> (
-      match Hashtbl.find t.pending token with
+      match Itbl.find t.pending token with
       | pc ->
-        Hashtbl.remove t.pending token;
+        Itbl.remove t.pending token;
         note_sample t pc.pc_dst (Engine.now () - pc.pc_sent);
         ignore (Ivar.try_fill pc.pc_iv resp)
       | exception Not_found ->
@@ -221,8 +221,8 @@ let endpoint fabric node =
       fabric;
       node;
       hname = Fabric.name node ^ ".handler";
-      pending = Hashtbl.create 32;
-      peers = Hashtbl.create 8;
+      pending = Itbl.create 32;
+      peers = Itbl.create 8;
       next_token = 0;
       handler = None;
       service_time = (fun _ -> 0);
@@ -245,7 +245,7 @@ let call_async_token t ~dst ?(size = 64) req =
   let token = t.next_token in
   t.next_token <- token + 1;
   let iv = Ivar.create () in
-  Hashtbl.replace t.pending token
+  Itbl.replace t.pending token
     { pc_iv = iv; pc_sent = Engine.now (); pc_dst = dst };
   Fabric.send t.fabric ~src:t.node ~dst ~size (Request (token, req));
   (token, iv)
@@ -261,7 +261,7 @@ let wait_or_expire t token iv ~timeout =
   match Ivar.read_timeout iv ~timeout with
   | Some _ as r -> r
   | None ->
-    Hashtbl.remove t.pending token;
+    Itbl.remove t.pending token;
     (ctrs ()).c_timeouts <- (ctrs ()).c_timeouts + 1;
     None
 
@@ -269,7 +269,7 @@ let call_timeout t ~dst ?size ~timeout req =
   let token, iv = call_async_token t ~dst ?size req in
   wait_or_expire t token iv ~timeout
 
-let pending_calls t = Hashtbl.length t.pending
+let pending_calls t = Itbl.length t.pending
 
 let call_retry_result t ~dst ?size ?(timeout = Engine.ms 1) ?(max_tries = 3)
     ?(backoff = 0) ?budget req =

@@ -7,8 +7,8 @@ type 'a t = {
   log : 'a Mem_log.t;
   dirty : int Queue.t;  (* sizes of staged entries not yet on the device *)
   mutable dirty_bytes : int;
-  seg_bytes : (int, int ref) Hashtbl.t;
-  cached : (int, unit) Hashtbl.t;
+  seg_bytes : int ref Itbl.t;
+  cached : unit Itbl.t;
   space : Waitq.t;  (* dirty buffer below limit *)
   drained : Waitq.t;  (* dirty buffer empty *)
   work : Waitq.t;  (* dirty buffer non-empty *)
@@ -45,8 +45,8 @@ let create ~disk ?(dirty_limit_bytes = 8 * 1024 * 1024)
       log = Mem_log.create ();
       dirty = Queue.create ();
       dirty_bytes = 0;
-      seg_bytes = Hashtbl.create 64;
-      cached = Hashtbl.create 64;
+      seg_bytes = Itbl.create 64;
+      cached = Itbl.create 64;
       space = Waitq.create ();
       drained = Waitq.create ();
       work = Waitq.create ();
@@ -60,10 +60,10 @@ let segment t pos = pos / t.entries_per_file
 let stage t ~pos ~size v =
   Mem_log.set t.log pos v;
   let seg = segment t pos in
-  (match Hashtbl.find_opt t.seg_bytes seg with
-  | Some r -> r := !r + size
-  | None -> Hashtbl.add t.seg_bytes seg (ref size));
-  Hashtbl.replace t.cached seg ();
+  (match Itbl.find t.seg_bytes seg with
+  | r -> r := !r + size
+  | exception Not_found -> Itbl.add t.seg_bytes seg (ref size));
+  Itbl.replace t.cached seg ();
   Queue.push size t.dirty;
   t.dirty_bytes <- t.dirty_bytes + size
 
@@ -82,19 +82,21 @@ let append_batch t batch =
 
 let set_mem t ~pos v =
   Mem_log.set t.log pos v;
-  Hashtbl.replace t.cached (segment t pos) ()
+  Itbl.replace t.cached (segment t pos) ()
 
 let read t ~pos =
   match Mem_log.get t.log pos with
   | None -> None
   | Some _ as hit ->
     let seg = segment t pos in
-    if not (Hashtbl.mem t.cached seg) then begin
+    if not (Itbl.mem t.cached seg) then begin
       let bytes =
-        match Hashtbl.find_opt t.seg_bytes seg with Some r -> !r | None -> 0
+        match Itbl.find t.seg_bytes seg with
+        | r -> !r
+        | exception Not_found -> 0
       in
       Disk.read t.disk ~bytes;
-      Hashtbl.replace t.cached seg ()
+      Itbl.replace t.cached seg ()
     end;
     hit
 
@@ -114,18 +116,18 @@ let read_many t positions =
         | None -> None
         | Some v ->
           let seg = segment t pos in
-          if not (Hashtbl.mem t.cached seg || List.mem seg !cold) then begin
+          if not (Itbl.mem t.cached seg || List.mem seg !cold) then begin
             cold := seg :: !cold;
-            match Hashtbl.find_opt t.seg_bytes seg with
-            | Some r -> cold_bytes := !cold_bytes + !r
-            | None -> ()
+            match Itbl.find t.seg_bytes seg with
+            | r -> cold_bytes := !cold_bytes + !r
+            | exception Not_found -> ()
           end;
           Some (pos, v))
       positions
   in
   if !cold <> [] then begin
     Disk.read t.disk ~bytes:!cold_bytes;
-    List.iter (fun seg -> Hashtbl.replace t.cached seg ()) !cold
+    List.iter (fun seg -> Itbl.replace t.cached seg ()) !cold
   end;
   hits
 

@@ -1,17 +1,15 @@
 (* A paged position index. A position splits into a page number
    ([pos lsr page_bits]) and a slot; a page is a fixed array of slots, and
-   the [absent] sentinel marks empty ones. Pages live in an int-keyed
-   table with a multiplicative mixing hash, fronted by a one-entry cache
+   the [absent] sentinel marks empty ones. Pages live in an {!Ll_sim.Itbl}
+   (int keys, multiplicative mixing hash), fronted by a one-entry cache
    of the last page touched, so [set]/[get]/[remove] hash nothing on the
    common path and allocate nothing per entry.
 
    The mixing hash matters: callers key by packed multi-log positions
    ([(log lsl 40) lor pos]), and the polymorphic [Hashtbl.hash] folds the
    high 32 bits onto the low ones, so [1 lsl 40] and [256] collide and
-   interleaved logs pile onto the same buckets. Multiplying by an odd
-   constant and keeping the high bits of the product spreads every input
-   bit. Nothing here knows how positions are packed: a sparse keyspace
-   just means sparse pages.
+   interleaved logs pile onto the same buckets. Nothing here knows how
+   positions are packed: a sparse keyspace just means sparse pages.
 
    Range operations ([truncate], [trim], [iter]) walk the pages that
    intersect the range in ascending page order, so their cost is the
@@ -22,14 +20,7 @@ let page_bits = 10
 let page_size = 1 lsl page_bits
 let slot_mask = page_size - 1
 
-module Pages = Hashtbl.Make (struct
-  type t = int
-
-  let equal = Int.equal
-
-  (* Fibonacci hashing: the top bits of [page * odd constant]. *)
-  let hash page = (page * 0x1E3779B97F4A7C15) lsr 32
-end)
+module Pages = Ll_sim.Itbl
 
 (* Slots hold values as [Obj.t] so that an empty slot can be told apart
    from any value without boxing each entry in an option. [absent] is a

@@ -1,73 +1,82 @@
-open Ll_sim
+(* Slots hold values as [Obj.t] so that a hole can be told apart from any
+   value without boxing each entry in an option (as in [Mem_log]).
+   [absent] is a fresh block, physically distinct from every stored
+   value. Slot [i] lives at index [i land mask]; the array length is a
+   power of two and at least [tail - head]. *)
+
+let absent : Obj.t = Obj.repr (ref ())
 
 type 'a t = {
-  capacity : int;
-  slots : 'a option array;
+  mutable slots : Obj.t array;
+  mutable mask : int;
   mutable head : int;
   mutable tail : int;
-  space : Waitq.t;
 }
 
-let create ~capacity =
+let create ?(capacity = 1024) () =
   if capacity <= 0 then invalid_arg "Ring_buffer.create: capacity";
-  {
-    capacity;
-    slots = Array.make capacity None;
-    head = 0;
-    tail = 0;
-    space = Waitq.create ();
-  }
+  let n = ref 1 in
+  while !n < capacity do
+    n := !n * 2
+  done;
+  { slots = Array.make !n absent; mask = !n - 1; head = 0; tail = 0 }
 
-let capacity t = t.capacity
 let head t = t.head
 let tail t = t.tail
 let length t = t.tail - t.head
-let is_full t = length t >= t.capacity
 
-let try_append t v =
-  if is_full t then None
-  else begin
-    let i = t.tail in
-    t.slots.(i mod t.capacity) <- Some v;
-    t.tail <- i + 1;
-    Some i
+let grow t =
+  let n = 2 * Array.length t.slots in
+  let slots = Array.make n absent in
+  let mask = n - 1 in
+  for i = t.head to t.tail - 1 do
+    Array.unsafe_set slots (i land mask)
+      (Array.unsafe_get t.slots (i land t.mask))
+  done;
+  t.slots <- slots;
+  t.mask <- mask
+
+let append t v =
+  if t.tail - t.head = Array.length t.slots then grow t;
+  let i = t.tail in
+  Array.unsafe_set t.slots (i land t.mask) (Obj.repr v);
+  t.tail <- i + 1;
+  i
+
+let find t i =
+  if i < t.head || i >= t.tail then raise Not_found;
+  let v = Array.unsafe_get t.slots (i land t.mask) in
+  if v == absent then raise Not_found else Obj.obj v
+
+let remove t i =
+  if i >= t.head && i < t.tail then begin
+    Array.unsafe_set t.slots (i land t.mask) absent;
+    if i = t.head then begin
+      let h = ref (i + 1) in
+      while
+        !h < t.tail && Array.unsafe_get t.slots (!h land t.mask) == absent
+      do
+        incr h
+      done;
+      t.head <- !h
+    end
   end
 
-let append_wait t v =
-  Waitq.await t.space (fun () -> not (is_full t));
-  match try_append t v with
-  | Some i -> i
-  | None -> assert false
-
-let get t i =
-  if i < t.head || i >= t.tail then None else t.slots.(i mod t.capacity)
-
-let advance_head t n =
-  let n = if n > t.tail then t.tail else n in
-  if n > t.head then begin
-    for i = t.head to n - 1 do
-      t.slots.(i mod t.capacity) <- None
-    done;
-    t.head <- n;
-    Waitq.broadcast t.space
-  end
-
-let iter_from t from f =
-  let from = if from < t.head then t.head else from in
-  for i = from to t.tail - 1 do
-    match t.slots.(i mod t.capacity) with
-    | Some v -> f i v
-    | None -> ()
-  done
-
-let snapshot t =
-  let acc = ref [] in
-  iter_from t t.head (fun i v -> acc := (i, v) :: !acc);
-  List.rev !acc
+let iter_from t ~from ~max f =
+  let slot = ref (if from < t.head then t.head else from) in
+  let n = ref 0 in
+  while !n < max && !slot < t.tail do
+    let v = Array.unsafe_get t.slots (!slot land t.mask) in
+    if v != absent then begin
+      f (Obj.obj v);
+      incr n
+    end;
+    incr slot
+  done;
+  !slot
 
 let clear t =
   for i = t.head to t.tail - 1 do
-    t.slots.(i mod t.capacity) <- None
+    Array.unsafe_set t.slots (i land t.mask) absent
   done;
-  t.head <- t.tail;
-  Waitq.broadcast t.space
+  t.head <- t.tail

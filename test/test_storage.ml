@@ -56,6 +56,39 @@ let test_mem_log_hash_collision () =
     (Mem_log.get l hi);
   Alcotest.(check (option string)) "low removed" None (Mem_log.get l 256)
 
+(* The same fold bites fabric links packed as [(src lsl 20) lor dst]
+   once [src >= 4096]. [Itbl] keeps colliding keys apart and spreads
+   both key families over its buckets: 100 x 100 of each leave no bucket
+   longer than 6 where the polymorphic hash piles 101 into one. *)
+let test_itbl_hash_collision () =
+  let link src dst = (src lsl 20) lor dst in
+  let pairs = [ (link 4096 0, link 0 1); (packed ~log:1 0, 256) ] in
+  List.iter
+    (fun (a, b) ->
+      checki "keys collide under Hashtbl.hash" (Hashtbl.hash a)
+        (Hashtbl.hash b))
+    pairs;
+  let t = Itbl.create 16 in
+  List.iter (fun (a, b) -> Itbl.replace t a "a"; Itbl.replace t b "b") pairs;
+  List.iter
+    (fun (a, b) ->
+      Alcotest.(check string) "first" "a" (Itbl.find t a);
+      Alcotest.(check string) "second" "b" (Itbl.find t b);
+      Itbl.remove t b;
+      Alcotest.(check string) "first survives" "a" (Itbl.find t a);
+      checkb "second removed" false (Itbl.mem t b))
+    pairs;
+  let t = Itbl.create 16 in
+  for i = 0 to 99 do
+    for j = 0 to 99 do
+      Itbl.replace t (link (4096 * i) j) ();
+      Itbl.replace t (packed ~log:i j) ()
+    done
+  done;
+  let st = Itbl.stats t in
+  checki "bindings" 19_900 st.Hashtbl.num_bindings;
+  checkb "no long bucket" true (st.Hashtbl.max_bucket_length <= 8)
+
 module Oracle = Map.Make (Int)
 
 type mem_op =
@@ -194,66 +227,105 @@ let test_mem_log_fill_words () =
 
 (* --- Ring buffer --- *)
 
-let test_ring_basic () =
-  let r = Ring_buffer.create ~capacity:4 in
-  checki "i0" 0 (Option.get (Ring_buffer.try_append r "a"));
-  checki "i1" 1 (Option.get (Ring_buffer.try_append r "b"));
-  Alcotest.(check (option string)) "get" (Some "a") (Ring_buffer.get r 0);
-  ignore (Ring_buffer.try_append r "c");
-  ignore (Ring_buffer.try_append r "d");
-  checkb "full" true (Ring_buffer.is_full r);
-  checkb "rejects when full" true (Ring_buffer.try_append r "e" = None);
-  Ring_buffer.advance_head r 2;
-  checki "head" 2 (Ring_buffer.head r);
-  Alcotest.(check (option string)) "gc'd" None (Ring_buffer.get r 0);
-  checki "i4 wraps" 4 (Option.get (Ring_buffer.try_append r "e"));
-  Alcotest.(check (list (pair int string)))
-    "snapshot"
-    [ (2, "c"); (3, "d"); (4, "e") ]
-    (Ring_buffer.snapshot r)
+let ring_mem r i =
+  match Ring_buffer.find r i with _ -> true | exception Not_found -> false
 
-let test_ring_backpressure () =
-  Engine.run (fun () ->
-      let r = Ring_buffer.create ~capacity:2 in
-      ignore (Ring_buffer.try_append r 1);
-      ignore (Ring_buffer.try_append r 2);
-      let appended_at = ref (-1) in
-      Engine.spawn (fun () ->
-          ignore (Ring_buffer.append_wait r 3);
-          appended_at := Engine.now ());
-      Engine.sleep (Engine.us 10);
-      checki "still blocked" (-1) !appended_at;
-      Ring_buffer.advance_head r 1;
-      Engine.sleep 1;
-      checkb "unblocked after gc" true (!appended_at >= 0))
+let ring_entries r =
+  let acc = ref [] in
+  ignore
+    (Ring_buffer.iter_from r ~from:0 ~max:max_int (fun v -> acc := v :: !acc)
+      : int);
+  List.rev !acc
+
+let test_ring_basic () =
+  let r = Ring_buffer.create ~capacity:4 () in
+  checki "i0" 0 (Ring_buffer.append r "a");
+  checki "i1" 1 (Ring_buffer.append r "b");
+  Alcotest.(check string) "find" "a" (Ring_buffer.find r 0);
+  ignore (Ring_buffer.append r "c" : int);
+  ignore (Ring_buffer.append r "d" : int);
+  (* A hole behind the head leaves the head where it is... *)
+  Ring_buffer.remove r 1;
+  checki "head pinned" 0 (Ring_buffer.head r);
+  checkb "hole" false (ring_mem r 1);
+  (* ...and removing the head skips it. *)
+  Ring_buffer.remove r 0;
+  checki "head skips the hole" 2 (Ring_buffer.head r);
+  checkb "gc'd" false (ring_mem r 0);
+  checki "i4 wraps" 4 (Ring_buffer.append r "e");
+  checki "length" 3 (Ring_buffer.length r);
+  Alcotest.(check (list string)) "live" [ "c"; "d"; "e" ] (ring_entries r);
+  checki "iter_from stops after max" 4
+    (Ring_buffer.iter_from r ~from:0 ~max:2 ignore);
+  Ring_buffer.clear r;
+  checki "clear: head = tail" (Ring_buffer.tail r) (Ring_buffer.head r);
+  checki "tail keeps counting" 5 (Ring_buffer.append r "f")
+
+let test_ring_grows () =
+  (* A live entry pinned at the head while the tail runs far ahead: the
+     slot array doubles instead of refusing appends. *)
+  let r = Ring_buffer.create ~capacity:4 () in
+  for i = 0 to 99 do
+    checki "slot" i (Ring_buffer.append r i);
+    if i > 0 then Ring_buffer.remove r i
+  done;
+  checki "head pinned" 0 (Ring_buffer.head r);
+  checki "span" 100 (Ring_buffer.length r);
+  for i = 100 to 109 do
+    ignore (Ring_buffer.append r i : int)
+  done;
+  Alcotest.(check (list int)) "live" (0 :: List.init 10 (fun i -> 100 + i))
+    (ring_entries r);
+  Ring_buffer.remove r 0;
+  checki "head jumps the holes" 100 (Ring_buffer.head r)
+
+type ring_op = R_append | R_remove of int | R_clear
 
 let prop_ring_matches_model =
-  (* Random append/gc sequences agree with a simple list model. *)
-  QCheck.Test.make ~name:"ring buffer matches model" ~count:200
-    QCheck.(list (pair bool small_nat))
-    (fun ops ->
-      let r = Ring_buffer.create ~capacity:8 in
-      let model = Hashtbl.create 16 in
-      let ok = ref true in
-      List.iter
-        (fun (is_append, v) ->
-          if is_append then (
-            match Ring_buffer.try_append r v with
-            | Some i -> Hashtbl.replace model i v
-            | None -> ())
-          else begin
-            let n = Ring_buffer.head r + (v mod 4) in
-            Ring_buffer.advance_head r n;
-            Hashtbl.iter
-              (fun i _ -> if i < Ring_buffer.head r then Hashtbl.remove model i)
-              (Hashtbl.copy model)
-          end;
-          (* every live index agrees *)
-          Hashtbl.iter
-            (fun i v -> if Ring_buffer.get r i <> Some v then ok := false)
-            model)
-        ops;
-      !ok)
+  (* Random append/remove/clear sequences agree with an assoc-list model
+     of the live slots: membership, values, the head (lowest live slot,
+     or the tail when empty) and slot-ordered iteration. *)
+  let gen =
+    QCheck.Gen.(
+      list
+        (frequency
+           [
+             (6, return R_append);
+             (5, map (fun k -> R_remove k) (int_bound 40));
+             (1, return R_clear);
+           ]))
+  in
+  QCheck.Test.make ~name:"ring buffer matches model" ~count:300
+    (QCheck.make gen) (fun ops ->
+      let r = Ring_buffer.create ~capacity:2 () in
+      let model = ref [] and tail = ref 0 in
+      List.for_all
+        (fun op ->
+          (match op with
+          | R_append ->
+            let i = Ring_buffer.append r !tail in
+            assert (i = !tail);
+            model := !model @ [ (i, i) ];
+            incr tail
+          | R_remove k ->
+            (* Mostly slots near the tail, some below the head. *)
+            let slot = !tail - 1 - k in
+            Ring_buffer.remove r slot;
+            model := List.remove_assoc slot !model
+          | R_clear ->
+            Ring_buffer.clear r;
+            model := []);
+          let head = match !model with (i, _) :: _ -> i | [] -> !tail in
+          Ring_buffer.head r = head
+          && Ring_buffer.tail r = !tail
+          && ring_entries r = List.map snd !model
+          && List.for_all
+               (fun i ->
+                 ring_mem r i = List.mem_assoc i !model
+                 && ((not (List.mem_assoc i !model))
+                    || Ring_buffer.find r i = List.assoc i !model))
+               (List.init (!tail + 2) (fun i -> i - 1)))
+        ops)
 
 (* --- Disk --- *)
 
@@ -374,6 +446,11 @@ let () =
             test_mem_log_hash_collision;
         ]
         @ qc [ prop_mem_log_matches_map ] );
+      ( "itbl",
+        [
+          Alcotest.test_case "hash-colliding keys distinct" `Quick
+            test_itbl_hash_collision;
+        ] );
       ( "alloc",
         [
           Alcotest.test_case "mem_log steady-state set" `Quick
@@ -384,7 +461,7 @@ let () =
       ( "ring_buffer",
         [
           Alcotest.test_case "basic" `Quick test_ring_basic;
-          Alcotest.test_case "backpressure" `Quick test_ring_backpressure;
+          Alcotest.test_case "grows past its capacity" `Quick test_ring_grows;
         ]
         @ qc [ prop_ring_matches_model ] );
       ( "disk",
