@@ -105,9 +105,10 @@ let ready_mailbox n =
       done)
 
 (* One RPC round trip per op, with a service time on the server: request
-   send, fabric delivery, demux, service-time sleep, handler fiber, reply,
-   response demux and the caller's ivar wake — the hop every protocol
-   message in the cluster pays. *)
+   send, fabric delivery, demux, service-time timer, handler callback,
+   reply, response demux and the caller's ivar wake — the hop every
+   protocol message in the cluster pays. The handler never blocks, so it
+   runs as a bare callback. *)
 let rpc_hops n =
   Ll_sim.Engine.run (fun () ->
       let open Ll_net in

@@ -94,11 +94,11 @@ let append_wait t e =
     end
   end
 
+let admits t e = t.live < t.capacity || is_duplicate t (Types.entry_rid e)
+
 let append_or_wait t e ~cancel =
   let rid = Types.entry_rid e in
-  let ready () =
-    cancel () || t.live < t.capacity || is_duplicate t rid
-  in
+  let ready () = cancel () || admits t e in
   Waitq.await t.space ready;
   if is_duplicate t rid then Some Duplicate
   else if cancel () then None
@@ -114,15 +114,17 @@ let append_or_wait t e ~cancel =
    Cancellation (seal / view change) while waiting fails the batch as a
    unit: no entry is appended. Assumes the batch is far smaller than
    [capacity] (flush triggers bound it). *)
-let append_batch_or_wait t entries ~cancel =
-  let fresh_needed () =
+let admits_batch t entries =
+  let fresh =
     List.fold_left
       (fun acc e ->
         if is_duplicate t (Types.entry_rid e) then acc else acc + 1)
       0 entries
   in
-  Waitq.await t.space (fun () ->
-      cancel () || t.live + fresh_needed () <= t.capacity);
+  t.live + fresh <= t.capacity
+
+let append_batch_or_wait t entries ~cancel =
+  Waitq.await t.space (fun () -> cancel () || admits_batch t entries);
   if cancel () then None
   else
     (* One pass: a rid appearing twice inside the batch registers on the

@@ -43,6 +43,15 @@ val append_or_wait :
     replica gets sealed. Callers flipping the cancel condition must call
     {!kick}. *)
 
+val admits : t -> Types.entry -> bool
+(** Whether the log can take [e] now without waiting: it has room, or [e]
+    is a duplicate. This is the readiness test {!append_or_wait} waits on
+    (besides [cancel]), so when it holds that call does not block. *)
+
+val admits_batch : t -> Types.entry list -> bool
+(** The batch form of {!admits}: room for every non-duplicate entry. The
+    readiness test {!append_batch_or_wait} waits on. *)
+
 val append_batch_or_wait :
   t -> Types.entry list -> cancel:(unit -> bool) ->
   append_result list option

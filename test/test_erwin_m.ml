@@ -226,6 +226,32 @@ let test_append_message_complexity () =
             (Ll_net.Fabric.node_messages_in (Seq_replica.node r)))
         cluster.replicas replica_in_before)
 
+(* Fiber budget: fibers started per append on a quiet default cluster,
+   counting the whole record life (the 1-RTT append, then its background
+   ordering, binding and backup replication). Handlers run as callbacks,
+   so fibers start only where a step blocks. *)
+let fibers_per_append () =
+  let n = 100 in
+  let per = ref 0.0 in
+  with_cluster (fun cluster ->
+      let log = Erwin_m.client cluster in
+      ignore (log.append ~size:128 ~data:"warm");
+      Engine.sleep (Engine.ms 2);
+      let f0 = Engine.fiber_count () in
+      for i = 1 to n do
+        ignore (log.append ~size:128 ~data:(string_of_int i))
+      done;
+      Engine.sleep (Engine.ms 2);
+      checki "all stable" (n + 1) cluster.stable_gp;
+      per := float_of_int (Engine.fiber_count () - f0) /. float_of_int n);
+  !per
+
+let test_append_fiber_budget () =
+  let per = fibers_per_append () in
+  (* 1.28 measured; 5.24 when every request started a handler fiber. *)
+  if per > 1.35 then
+    Alcotest.failf "%.2f fibers per append over the budget of 1.35" per
+
 let test_corfu_append_message_complexity () =
   (* Corfu's eager binding costs 2 x (1 sequencer + k chain hops). *)
   Engine.run (fun () ->
@@ -309,5 +335,7 @@ let () =
             test_corfu_append_message_complexity;
           Alcotest.test_case "whole-system determinism" `Quick
             test_whole_system_determinism;
+          Alcotest.test_case "fiber budget per append" `Quick
+            test_append_fiber_budget;
         ] );
     ]

@@ -282,9 +282,11 @@ let test_ring_grows () =
 type ring_op = R_append | R_remove of int | R_clear
 
 let prop_ring_matches_model =
-  (* Random append/remove/clear sequences agree with an assoc-list model
-     of the live slots: membership, values, the head (lowest live slot,
-     or the tail when empty) and slot-ordered iteration. *)
+  (* Random append/remove/clear sequences agree with a model of the live
+     slots: membership, values, the head (lowest live slot, or the tail
+     when empty) and slot-ordered iteration. Slot [i] holds value [i], so
+     the model is a growable bitmap of live slots plus its lowest live
+     slot, and each step's check is linear in the slot span. *)
   let gen =
     QCheck.Gen.(
       list
@@ -297,34 +299,55 @@ let prop_ring_matches_model =
   in
   QCheck.Test.make ~name:"ring buffer matches model" ~count:300
     (QCheck.make gen) (fun ops ->
+      (* Most probes of dead slots raise [Not_found]; recording a backtrace
+         for each would double the property's run time. *)
+      let bt = Printexc.backtrace_status () in
+      Printexc.record_backtrace false;
+      Fun.protect ~finally:(fun () -> Printexc.record_backtrace bt)
+      @@ fun () ->
       let r = Ring_buffer.create ~capacity:2 () in
-      let model = ref [] and tail = ref 0 in
+      let live = ref (Bytes.make 64 '\000') and tail = ref 0 and lo = ref 0 in
+      let is_live i = i >= 0 && i < !tail && Bytes.get !live i = '\001' in
       List.for_all
         (fun op ->
           (match op with
           | R_append ->
             let i = Ring_buffer.append r !tail in
             assert (i = !tail);
-            model := !model @ [ (i, i) ];
+            if i >= Bytes.length !live then begin
+              let b = Bytes.make (2 * Bytes.length !live) '\000' in
+              Bytes.blit !live 0 b 0 i;
+              live := b
+            end;
+            Bytes.set !live i '\001';
             incr tail
           | R_remove k ->
             (* Mostly slots near the tail, some below the head. *)
             let slot = !tail - 1 - k in
             Ring_buffer.remove r slot;
-            model := List.remove_assoc slot !model
+            if slot >= 0 then Bytes.set !live slot '\000'
           | R_clear ->
             Ring_buffer.clear r;
-            model := []);
-          let head = match !model with (i, _) :: _ -> i | [] -> !tail in
-          Ring_buffer.head r = head
+            Bytes.fill !live 0 !tail '\000');
+          while !lo < !tail && not (is_live !lo) do
+            incr lo
+          done;
+          let entries = ref [] in
+          for i = !tail - 1 downto !lo do
+            if is_live i then entries := i :: !entries
+          done;
+          Ring_buffer.head r = !lo
           && Ring_buffer.tail r = !tail
-          && ring_entries r = List.map snd !model
-          && List.for_all
-               (fun i ->
-                 ring_mem r i = List.mem_assoc i !model
-                 && ((not (List.mem_assoc i !model))
-                    || Ring_buffer.find r i = List.assoc i !model))
-               (List.init (!tail + 2) (fun i -> i - 1)))
+          && ring_entries r = !entries
+          &&
+          let rec slots_agree i =
+            i > !tail
+            || (match Ring_buffer.find r i with
+               | v -> is_live i && v = i
+               | exception Not_found -> not (is_live i))
+               && slots_agree (i + 1)
+          in
+          slots_agree (-1))
         ops)
 
 (* --- Disk --- *)
