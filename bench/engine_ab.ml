@@ -7,7 +7,8 @@
      engine_ab.exe <workload> <n-events> <reps>
 
    Workloads: timer-callback | mixed-hop | deep-timer | deep-fiber |
-   ready-ivar | ready-mailbox | rpc-hop | seq-log | seq-log-100k
+   ready-ivar | ready-mailbox | rpc-hop | seq-log | seq-log-100k | itbl |
+   itbl-600k
 
    Each rep prints CPU ns/op next to minor words/op ([Gc.minor_words]
    over the whole run, setup included): allocation is deterministic, so
@@ -147,6 +148,29 @@ let seq_log_cycles ~clients n =
       (Array.fold_right (fun e acc -> Types.entry_rid e :: acc) claimed [])
   done
 
+(* One [Itbl.find] + [Itbl.replace] of an existing key per op, no engine:
+   the fabric's per-message FIFO step. Keys are packed links
+   [(src lsl 20) lor dst], visited in a stride order so that a large
+   table is not walked sequentially; the table is built once, before the
+   warmup, so words/op count only the ops. [keys = 600_000] is the
+   number of directed links on the open-100k benchmark workload. *)
+let itbl_cycles ~keys =
+  let open Ll_sim in
+  let order =
+    Array.init keys (fun i ->
+        let j = i * 7919 mod keys in
+        ((j / 6) lsl 20) lor (j mod 6))
+  in
+  let t = Itbl.create () in
+  Array.iteri (fun i k -> Itbl.replace t k i) order;
+  fun n ->
+    let j = ref 0 in
+    for _ = 1 to n do
+      let k = Array.unsafe_get order !j in
+      Itbl.replace t k (Itbl.find t k + 1);
+      j := if !j + 1 = keys then 0 else !j + 1
+    done
+
 let () =
   let workload = Sys.argv.(1) in
   let n = int_of_string Sys.argv.(2) in
@@ -162,6 +186,8 @@ let () =
     | "rpc-hop" -> rpc_hops
     | "seq-log" -> seq_log_cycles ~clients:8
     | "seq-log-100k" -> seq_log_cycles ~clients:100_000
+    | "itbl" -> itbl_cycles ~keys:8
+    | "itbl-600k" -> itbl_cycles ~keys:600_000
     | w -> failwith ("unknown workload: " ^ w)
   in
   Ll_sim.Engine.set_scheduler `Wheel;

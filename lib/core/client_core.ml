@@ -285,7 +285,7 @@ let prefetcher () =
   {
     (* Minimum size, grown on demand: at [readahead = 0] (the default) the
        cache stays empty, and every client endpoint builds one. *)
-    pf_cache = Itbl.create 16;
+    pf_cache = Itbl.create ();
     pf_inflight = None;
     pf_next = 0;
     pf_frontier = 0;

@@ -117,8 +117,8 @@ let create ~cfg ~mode =
       metrics = fresh_metrics ();
       append_batcher = None;
       demand_upto = 0;
-      stable_gps = Itbl.create 16;
-      demand_uptos = Itbl.create 16;
+      stable_gps = Itbl.create ();
+      demand_uptos = Itbl.create ();
       order_wake = Waitq.create ();
       orderer_node = None;
       on_stable = None;

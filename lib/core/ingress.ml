@@ -68,7 +68,7 @@ let tenant t log =
         shed = 0;
       }
     in
-    Itbl.add t.tenants log ten;
+    Itbl.replace t.tenants log ten;
     ten
 
 (* Token-bucket admission, charged per record: a request is admitted
@@ -163,7 +163,7 @@ let install ~cfg ~view ep =
     {
       cfg;
       replica = Ll_net.Rpc.endpoint_id ep;
-      tenants = Itbl.create 64;
+      tenants = Itbl.create ();
       active = Queue.create ();
       work = Waitq.create ();
     }

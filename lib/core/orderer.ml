@@ -367,7 +367,7 @@ let pipelined_loop (cluster : t) ep =
       in
       loop ());
   let next_gp = ref 0 in
-  let next_gps : int Itbl.t = Itbl.create 16 in
+  let next_gps : int Itbl.t = Itbl.create () in
   let pipe_view = ref (-1) in
   let rec loop () =
     Waitq.await cluster.order_idle (fun () ->

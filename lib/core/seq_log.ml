@@ -32,12 +32,12 @@ let create ~capacity =
   {
     capacity;
     ring = Ring_buffer.create ~capacity:1024 ();
-    by_rid = Types.Rid_tbl.create 1024;
+    by_rid = Types.Rid_tbl.create ();
     ordered_seq = Array.make 64 (-1);
     live = 0;
     gp = 0;
-    gps = Itbl.create 8;
-    live_logs = Itbl.create 8;
+    gps = Itbl.create ();
+    live_logs = Itbl.create ();
     live_other = 0;
     claimed = 0;
     claimed_live = 0;
@@ -69,7 +69,7 @@ let bump_live t lg d =
 let do_append t e =
   let slot = Ring_buffer.append t.ring e in
   (* Callers filter duplicates first, so the rid is not bound yet. *)
-  Types.Rid_tbl.add t.by_rid (Types.entry_rid e) slot;
+  Types.Rid_tbl.replace t.by_rid (Types.entry_rid e) slot;
   t.live <- t.live + 1;
   bump_live t (Types.entry_log e) 1
 
@@ -242,7 +242,12 @@ let last_ordered_gp_for t ~log =
 let set_last_ordered_gp_for t ~log g =
   if log = 0 then t.gp <- g else Itbl.replace t.gps log g
 
-let log_gps t = Itbl.fold (fun log g acc -> (log, g) :: acc) t.gps []
+(* Sorted by log: the list crosses the wire in [R_state] and fills the
+   recovery's polymorphic tables, whose fold order follows insertion
+   order within a bucket, so it must not follow [gps]'s slot order. *)
+let log_gps t =
+  Itbl.fold (fun log g acc -> (log, g) :: acc) t.gps []
+  |> List.sort (fun (a, _) (b, _) -> Int.compare a b)
 
 let set_log_gps t gps =
   Itbl.reset t.gps;

@@ -111,8 +111,8 @@ val last_ordered_gp_for : t -> log:int -> int
 val set_last_ordered_gp_for : t -> log:int -> int -> unit
 
 val log_gps : t -> (int * int) list
-(** The per-log frontiers beyond log 0 (unordered list), for recovery
-    state transfer. *)
+(** The per-log frontiers beyond log 0, in ascending log order, for
+    recovery state transfer. *)
 
 val set_log_gps : t -> (int * int) list -> unit
 (** Replace the per-log frontiers beyond log 0 (view install). *)

@@ -233,8 +233,8 @@ let create ~cfg ~fabric ~name:rname =
       slog = Seq_log.create ~capacity:cfg.Config.seq_capacity;
       view = 0;
       sealed = false;
-      tracked = Types.Rid_tbl.create 64;
-      bound_gp = Types.Rid_tbl.create 64;
+      tracked = Types.Rid_tbl.create ();
+      bound_gp = Types.Rid_tbl.create ();
       bound_watch = Waitq.create ();
       sub_cursors = Hashtbl.create 8;
       fair = None;

@@ -79,7 +79,7 @@ let make_disk cfg =
    and skip it. *)
 let apply_truncate r fronts =
   if fronts <> [] then begin
-    let by_log = Itbl.create 8 in
+    let by_log = Itbl.create () in
     List.iter (fun f -> Itbl.replace by_log (Logid.log_of f) f) fronts;
     let doomed gp =
       match Itbl.find by_log (Logid.log_of gp) with
@@ -522,13 +522,13 @@ let make_replica cfg fabric ~name =
       Flushed_store.create ~disk
         ~dirty_limit_bytes:cfg.Config.dirty_limit_bytes ();
     journal_pos = 0;
-    staging = Rid_tbl.create 256;
-    staged_at = Rid_tbl.create 256;
-    nooped = Rid_tbl.create 64;
+    staging = Rid_tbl.create ();
+    staged_at = Rid_tbl.create ();
+    nooped = Rid_tbl.create ();
     staging_watch = Waitq.create ();
     map_log = Mem_log.create ();
     stable = 0;
-    stables = Itbl.create 8;
+    stables = Itbl.create ();
     stable_watch = Waitq.create ();
   }
 

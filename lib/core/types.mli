@@ -8,13 +8,40 @@ module Rid : sig
 
   val compare : t -> t -> int
   val equal : t -> t -> bool
-  val hash : t -> int
   val pp : Format.formatter -> t -> unit
+
+  val client_bits : int
+  val seq_bits : int
+
+  val pack : t -> int
+  (** One non-negative int for a rid: [(seq + 1) lsl client_bits lor
+      (client + 1)], so {!Types.no_op}'s rid packs to 0. Distinct rids pack
+      to distinct ints.
+      @raise Invalid_argument unless [-1 <= client < 2^client_bits - 1]
+      and [-1 <= seq < 2^seq_bits - 1] (about 1.7 * 10^7 clients and
+      2.7 * 10^11 requests each). *)
+
+  val unpack : int -> t
+  (** Inverse of {!pack} on its range. *)
 end
 
-(** Tables keyed by record id, hashed by {!Rid.hash} (which allocates
-    nothing) and compared by {!Rid.equal}. *)
-module Rid_tbl : Hashtbl.S with type key = Rid.t
+(** Tables keyed by record id: an {!Ll_sim.Itbl} keyed by {!Rid.pack}, so
+    every operation raises [Invalid_argument] for a rid outside
+    [Rid.pack]'s range. [iter] and [fold] rebuild each rid they visit,
+    in the table's slot order. *)
+module Rid_tbl : sig
+  type 'a t
+
+  val create : unit -> 'a t
+  val replace : 'a t -> Rid.t -> 'a -> unit
+  val find : 'a t -> Rid.t -> 'a
+  val mem : 'a t -> Rid.t -> bool
+  val remove : 'a t -> Rid.t -> unit
+  val length : 'a t -> int
+  val reset : 'a t -> unit
+  val iter : (Rid.t -> 'a -> unit) -> 'a t -> unit
+  val fold : (Rid.t -> 'a -> 'b -> 'b) -> 'a t -> 'b -> 'b
+end
 
 (** A log record. [data] is a small correctness tag carried through the
     system; [size] is the modeled payload size in bytes (what the network

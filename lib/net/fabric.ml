@@ -2,14 +2,14 @@ open Ll_sim
 
 type node_id = int
 
-(* Node ids are packed two-to-an-int for FIFO / partition bookkeeping:
-   [(a lsl key_bits) lor b]. 2^20 nodes per fabric is plenty (the open-loop
-   bench drives 10^5 producer nodes) and int-keyed tables avoid boxing a
-   tuple per lookup on the per-message hot path. *)
+(* Node ids are packed two-to-an-int for link-fault / partition
+   bookkeeping: [(a lsl key_bits) lor b]. 2^20 nodes per fabric is plenty
+   (the open-loop bench drives 10^5 producer nodes) and int-keyed tables
+   avoid boxing a tuple per lookup on the per-message hot path. *)
 let key_bits = 20
 let max_nodes = 1 lsl key_bits
 
-let fifo_key src dst = (src lsl key_bits) lor dst
+let link_key src dst = (src lsl key_bits) lor dst
 
 let pair_key a b = if a < b then (a lsl key_bits) lor b else (b lsl key_bits) lor a
 
@@ -30,12 +30,15 @@ type 'm node = {
   mutable alive : bool;
   mutable extra : Engine.time;
   mutable delivered : int;
-  (* Packed FIFO keys this node participates in (as src or dst), so crash
-     cleanup walks O(degree) keys instead of folding the whole table: an
-     intrusive slab list of int keys (immediate, unboxed) instead of a
-     cons per first-contact pair. May hold bounded duplicates across
-     crash/recover cycles; removal is idempotent. *)
-  mutable fifo_keys : int;
+  (* FIFO enforcement: earliest time the next message from this node to
+     [dst] may arrive, keyed by [dst]. Per sender, so a producer's table
+     stays a few slots and no table grows with the whole fabric. *)
+  last_arrival : Engine.time Itbl.t;
+  (* Nodes that have sent to this one, so crash cleanup forgets their
+     links to it in O(degree): an intrusive slab list of node ids. May
+     hold bounded duplicates across crash/recover cycles; removal is
+     idempotent. *)
+  mutable senders : int;
 }
 
 (* Per-direction link degradation (gray failures): extra delay and/or
@@ -52,9 +55,6 @@ type 'm t = {
      Slots at index >= nnodes are padding (re-pointing at node 0). *)
   mutable nodes : 'm node array;
   mutable nnodes : int;
-  (* FIFO enforcement: earliest time the next message on (src,dst) may
-     arrive, keyed by the packed pair. *)
-  last_arrival : Engine.time Itbl.t;
   partitions : unit Itbl.t;
   (* Directed link faults, keyed by the packed (src, dst) key. The hot
      path guards on the table being empty, so healthy runs pay one length
@@ -79,9 +79,8 @@ let create ?(link = default_link) ?seed () =
     rng = Rng.create ~seed;
     nodes = [||];
     nnodes = 0;
-    last_arrival = Itbl.create 64;
-    partitions = Itbl.create 8;
-    link_faults = Itbl.create 8;
+    partitions = Itbl.create ();
+    link_faults = Itbl.create ();
     drop_p = 0.0;
     sent = 0;
     sent_bytes = 0;
@@ -99,7 +98,8 @@ let add_node t ~name ?(send_overhead = 500) ?(recv_overhead = 500) () =
       alive = true;
       extra = 0;
       delivered = 0;
-      fifo_keys = Slab.nil;
+      last_arrival = Itbl.create ();
+      senders = Slab.nil;
     }
   in
   let cap = Array.length t.nodes in
@@ -133,7 +133,7 @@ let send t ~src ~dst ~size msg =
      must not pay a hash lookup (or draw from the rng) per message. *)
   let lf =
     if Itbl.length t.link_faults = 0 then None
-    else Itbl.find_opt t.link_faults (fifo_key src.nid dst)
+    else Itbl.find_opt t.link_faults (link_key src.nid dst)
   in
   if
     src.alive && dst_node.alive
@@ -162,22 +162,18 @@ let send t ~src ~dst ~size msg =
       + (match lf with Some l -> l.lf_delay | None -> 0)
     in
     let arrival = Engine.now () + delay in
-    let key = fifo_key src.nid dst in
     let arrival =
-      match Itbl.find t.last_arrival key with
+      match Itbl.find src.last_arrival dst with
       | last -> if last >= arrival then last + 1 else arrival
       | exception Not_found ->
-        (* First traffic on this (src,dst): index the key on both
-           endpoints for O(degree) crash cleanup. *)
-        let ks = Slab.alloc (Obj.repr key) in
-        Slab.set_next ks src.fifo_keys;
-        src.fifo_keys <- ks;
-        let kd = Slab.alloc (Obj.repr key) in
-        Slab.set_next kd dst_node.fifo_keys;
-        dst_node.fifo_keys <- kd;
+        (* First traffic on this (src,dst): note the sender on [dst] for
+           O(degree) crash cleanup. *)
+        let c = Slab.alloc (Obj.repr src.nid) in
+        Slab.set_next c dst_node.senders;
+        dst_node.senders <- c;
         arrival
     in
-    Itbl.replace t.last_arrival key arrival;
+    Itbl.replace src.last_arrival dst arrival;
     let sender = src.nid in
     (* Bare callback: delivery only re-checks liveness and enqueues, no
        fiber effects, so it skips the fiber-start cost per hop. *)
@@ -199,16 +195,17 @@ let crash t n =
   Mailbox.clear n.inbox;
   (* Forget FIFO bookkeeping involving this node: everything in flight is
      dropped, so a revived node's first message must not be artificially
-     delayed behind (or ordered after) pre-crash traffic. The per-node key
-     index makes this O(degree). *)
-  let c = ref n.fifo_keys in
+     delayed behind (or ordered after) pre-crash traffic. The sender index
+     makes this O(degree). *)
+  Itbl.reset n.last_arrival;
+  let c = ref n.senders in
   while !c >= 0 do
-    Itbl.remove t.last_arrival (Obj.obj (Slab.get !c) : int);
+    Itbl.remove t.nodes.((Obj.obj (Slab.get !c) : int)).last_arrival n.nid;
     let next = Slab.next !c in
     Slab.free !c;
     c := next
   done;
-  n.fifo_keys <- Slab.nil
+  n.senders <- Slab.nil
 
 let recover _t n = n.alive <- true
 
@@ -221,14 +218,14 @@ let heal t a b = Itbl.remove t.partitions (pair_key a b)
 let set_drop_probability t p = t.drop_p <- p
 
 let set_link_fault t ~src ~dst ?(delay = 0) ?(drop_p = 0.0) () =
-  Itbl.replace t.link_faults (fifo_key src dst)
+  Itbl.replace t.link_faults (link_key src dst)
     { lf_delay = delay; lf_drop_p = drop_p }
 
 let clear_link_fault t ~src ~dst =
-  Itbl.remove t.link_faults (fifo_key src dst)
+  Itbl.remove t.link_faults (link_key src dst)
 
 let link_fault t ~src ~dst =
-  match Itbl.find_opt t.link_faults (fifo_key src dst) with
+  match Itbl.find_opt t.link_faults (link_key src dst) with
   | Some { lf_delay; lf_drop_p } -> Some (lf_delay, lf_drop_p)
   | None -> None
 

@@ -282,8 +282,8 @@ let endpoint fabric node =
       node;
       inbox = Fabric.inbox node;
       hname = Fabric.name node ^ ".handler";
-      pending = Itbl.create 32;
-      peers = Itbl.create 8;
+      pending = Itbl.create ();
+      peers = Itbl.create ();
       next_token = 0;
       handler = None;
       service_time = (fun _ -> 0);

@@ -45,8 +45,8 @@ let create ~disk ?(dirty_limit_bytes = 8 * 1024 * 1024)
       log = Mem_log.create ();
       dirty = Queue.create ();
       dirty_bytes = 0;
-      seg_bytes = Itbl.create 64;
-      cached = Itbl.create 64;
+      seg_bytes = Itbl.create ();
+      cached = Itbl.create ();
       space = Waitq.create ();
       drained = Waitq.create ();
       work = Waitq.create ();
@@ -62,7 +62,7 @@ let stage t ~pos ~size v =
   let seg = segment t pos in
   (match Itbl.find t.seg_bytes seg with
   | r -> r := !r + size
-  | exception Not_found -> Itbl.add t.seg_bytes seg (ref size));
+  | exception Not_found -> Itbl.replace t.seg_bytes seg (ref size));
   Itbl.replace t.cached seg ();
   Queue.push size t.dirty;
   t.dirty_bytes <- t.dirty_bytes + size

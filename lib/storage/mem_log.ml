@@ -40,7 +40,7 @@ type 'a t = {
 
 let create () =
   {
-    pages = Pages.create 16;
+    pages = Pages.create ();
     last_no = -1;
     last_page = no_page;
     first = 0;
@@ -62,7 +62,7 @@ let page_for_write t no =
   if page != no_page then page
   else begin
     let page = Array.make page_size absent in
-    Pages.add t.pages no page;
+    Pages.replace t.pages no page;
     t.last_no <- no;
     t.last_page <- page;
     page

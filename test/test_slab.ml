@@ -141,7 +141,8 @@ let test_waitq_ivar_recycling () =
           Alcotest.(check int) "broadcast and fill free all nodes" 0
             (Slab.in_use ())))
 
-(* Fabric crash cleanup walks and frees the per-node FIFO key list. *)
+(* Fabric crash cleanup walks and frees the crashed node's list of
+   senders: first contact on a link notes the sender on its destination. *)
 let test_fabric_crash_cleanup () =
   Engine.run (fun () ->
       let fab = Ll_net.Fabric.create ~seed:1 () in
@@ -152,15 +153,20 @@ let test_fabric_crash_cleanup () =
       in
       Array.iter
         (fun p ->
-          Ll_net.Fabric.send fab ~src:a ~dst:(Ll_net.Fabric.id p) ~size:16 ())
+          Ll_net.Fabric.send fab ~src:a ~dst:(Ll_net.Fabric.id p) ~size:16 ();
+          Ll_net.Fabric.send fab ~src:p ~dst:(Ll_net.Fabric.id a) ~size:16 ())
         peers;
       Engine.after (Engine.us 50) (fun () ->
+          (* Drain a's inbox so that only sender nodes stay in use. *)
+          let inbox = Ll_net.Fabric.inbox a in
+          while Mailbox.try_recv inbox <> None do () done;
           let live = Slab.in_use () in
-          Alcotest.(check bool) "first-contact keys indexed" true (live >= 32);
+          Alcotest.(check bool)
+            "first-contact senders indexed" true (live >= 32);
           Ll_net.Fabric.crash fab a;
-          (* a's own key list is freed; each peer still holds its one
-             (now-stale, idempotently removable) key node. *)
-          Alcotest.(check int) "crash frees the node's key list" (live - 16)
+          (* a's sender list is freed; each peer still holds its one
+             (now-stale, idempotently removable) node naming a. *)
+          Alcotest.(check int) "crash frees the node's sender list" (live - 16)
             (Slab.in_use ())))
 
 let () =

@@ -58,8 +58,9 @@ let test_mem_log_hash_collision () =
 
 (* The same fold bites fabric links packed as [(src lsl 20) lor dst]
    once [src >= 4096]. [Itbl] keeps colliding keys apart and spreads
-   both key families over its buckets: 100 x 100 of each leave no bucket
-   longer than 6 where the polymorphic hash piles 101 into one. *)
+   both key families over its slots: 100 x 100 of each leave no lookup
+   probing more than 6 slots (the bound is 8), where the polymorphic
+   hash piles 101 keys into one bucket. *)
 let test_itbl_hash_collision () =
   let link src dst = (src lsl 20) lor dst in
   let pairs = [ (link 4096 0, link 0 1); (packed ~log:1 0, 256) ] in
@@ -68,7 +69,7 @@ let test_itbl_hash_collision () =
       checki "keys collide under Hashtbl.hash" (Hashtbl.hash a)
         (Hashtbl.hash b))
     pairs;
-  let t = Itbl.create 16 in
+  let t = Itbl.create () in
   List.iter (fun (a, b) -> Itbl.replace t a "a"; Itbl.replace t b "b") pairs;
   List.iter
     (fun (a, b) ->
@@ -78,16 +79,134 @@ let test_itbl_hash_collision () =
       Alcotest.(check string) "first survives" "a" (Itbl.find t a);
       checkb "second removed" false (Itbl.mem t b))
     pairs;
-  let t = Itbl.create 16 in
+  let t = Itbl.create () in
   for i = 0 to 99 do
     for j = 0 to 99 do
       Itbl.replace t (link (4096 * i) j) ();
       Itbl.replace t (packed ~log:i j) ()
     done
   done;
-  let st = Itbl.stats t in
-  checki "bindings" 19_900 st.Hashtbl.num_bindings;
-  checkb "no long bucket" true (st.Hashtbl.max_bucket_length <= 8)
+  checki "bindings" 19_900 (Itbl.length t);
+  checkb "no long probe run" true (Itbl.max_probe t <= 8)
+
+(* The table against a [Map] oracle. Keys mix a small dense range with
+   families that share a home slot in every table under 2^24 slots (a
+   key bit [b >= 32] reaches slot bits [>= b - 32] only), so probe runs
+   grow long, wrap the array's end, and deletions shift entries back
+   across growth; test_hash_collision's pairs and two negative keys ride
+   along. Every step checks the whole key universe. *)
+module Imap = Map.Make (Int)
+
+type tbl_op =
+  | T_replace of int * int
+  | T_remove of int
+  | T_find of int
+  | T_reset
+  | T_iter
+  | T_fold
+
+let pp_tbl_op = function
+  | T_replace (k, v) -> Printf.sprintf "replace %d %d" k v
+  | T_remove k -> Printf.sprintf "remove %d" k
+  | T_find k -> Printf.sprintf "find %d" k
+  | T_reset -> "reset"
+  | T_iter -> "iter"
+  | T_fold -> "fold"
+
+let tbl_keys =
+  let link src dst = (src lsl 20) lor dst in
+  let family base = List.init 6 (fun i -> base + (i lsl 56)) in
+  List.init 24 Fun.id
+  @ family 3 @ family 1_000_003
+  @ [ link 4096 0; link 0 1; packed ~log:1 0; 256; -1; min_int ]
+
+let gen_tbl_op =
+  QCheck.Gen.(
+    let key = oneofl tbl_keys in
+    frequency
+      [
+        (8, map2 (fun k v -> T_replace (k, v)) key (int_bound 1000));
+        (5, map (fun k -> T_remove k) key);
+        (2, map (fun k -> T_find k) key);
+        (1, return T_reset);
+        (1, return T_iter);
+        (1, return T_fold);
+      ])
+
+let prop_itbl_matches_map =
+  QCheck.Test.make ~name:"itbl matches a Map oracle" ~count:500
+    (QCheck.make
+       ~print:(fun ops -> String.concat "; " (List.map pp_tbl_op ops))
+       QCheck.Gen.(list_size (int_bound 200) gen_tbl_op))
+    (fun ops ->
+      let t = Itbl.create () in
+      let m = ref Imap.empty in
+      let sorted l = List.sort compare l in
+      List.for_all
+        (fun op ->
+          let step_ok =
+            match op with
+            | T_replace (k, v) ->
+              Itbl.replace t k v;
+              m := Imap.add k v !m;
+              true
+            | T_remove k ->
+              Itbl.remove t k;
+              m := Imap.remove k !m;
+              true
+            | T_find k -> (
+              match Itbl.find t k with
+              | v -> Imap.find_opt k !m = Some v
+              | exception Not_found -> not (Imap.mem k !m))
+            | T_reset ->
+              Itbl.reset t;
+              m := Imap.empty;
+              true
+            | T_iter ->
+              let seen = ref [] in
+              Itbl.iter (fun k v -> seen := (k, v) :: !seen) t;
+              sorted !seen = Imap.bindings !m
+            | T_fold ->
+              sorted (Itbl.fold (fun k v acc -> (k, v) :: acc) t [])
+              = Imap.bindings !m
+          in
+          step_ok
+          && Itbl.length t = Imap.cardinal !m
+          && List.for_all
+               (fun k ->
+                 Itbl.find_opt t k = Imap.find_opt k !m
+                 && Itbl.mem t k = Imap.mem k !m)
+               tbl_keys)
+        ops)
+
+(* [Rid.pack] round-trips over its documented range, ends included, and
+   rejects a rid just outside it on either side of either field. *)
+let test_rid_packing () =
+  let open Lazylog.Types in
+  let cmax = (1 lsl Rid.client_bits) - 2 and smax = (1 lsl Rid.seq_bits) - 2 in
+  let round_trips (client, seq) =
+    let r = { Rid.client; seq } in
+    Rid.equal r (Rid.unpack (Rid.pack r))
+  in
+  List.iter
+    (fun cs -> checkb "round-trips" true (round_trips cs))
+    [ (-1, -1); (0, 0); (cmax, smax); (-1, smax); (cmax, -1); (7, 1 lsl 32) ];
+  checki "the no-op rid packs to 0" 0 (Rid.pack no_op.rid);
+  let rng = Random.State.make [| 17 |] in
+  for _ = 1 to 10_000 do
+    let c = Random.State.int rng (cmax + 2) - 1
+    and s = Random.State.full_int rng (smax + 2) - 1 in
+    if not (round_trips (c, s)) then Alcotest.failf "rid %d.%d" c s
+  done;
+  List.iter
+    (fun (client, seq) ->
+      match Rid.pack { Rid.client; seq } with
+      | _ -> Alcotest.failf "rid %d.%d packed" client seq
+      | exception Invalid_argument _ -> ())
+    [
+      (-2, 0); (cmax + 1, 0); (0, -2); (0, smax + 1); (min_int, 0);
+      (0, max_int);
+    ]
 
 module Oracle = Map.Make (Int)
 
@@ -224,6 +343,55 @@ let test_mem_log_fill_words () =
   checki "all present" (logs * per_log) (List.length (Mem_log.to_list l));
   check_budget "fill 100 logs" ~budget:2.0
     (words /. float_of_int (logs * per_log))
+
+(* A warmed table's record-path cycle: replace an existing key, find it,
+   remove it and insert it again. 4 ops per key, 0 words each: a slot
+   holds the binding, so no op builds a cell. The measurement's own
+   allocation (the counters it reads) is subtracted. *)
+let cycle_words ~keys ~cycle =
+  let probe_cost =
+    let w0 = words_allocated () in
+    words_allocated () -. w0
+  in
+  for _ = 1 to 3 do
+    Array.iter cycle keys
+  done;
+  let rounds = 100 in
+  let w0 = words_allocated () in
+  for _ = 1 to rounds do
+    Array.iter cycle keys
+  done;
+  (words_allocated () -. w0 -. probe_cost)
+  /. float_of_int (4 * rounds * Array.length keys)
+
+let test_itbl_cycle_words () =
+  let t = Itbl.create () in
+  let keys = Array.init 1000 (fun i -> packed ~log:(i mod 10) i) in
+  Array.iter (fun k -> Itbl.replace t k 0) keys;
+  let words =
+    cycle_words ~keys ~cycle:(fun k ->
+        Itbl.replace t k 1;
+        ignore (Itbl.find t k : int);
+        Itbl.remove t k;
+        Itbl.replace t k 2)
+  in
+  check_budget "itbl cycle" ~budget:0.0 words
+
+let test_rid_tbl_cycle_words () =
+  let open Lazylog.Types in
+  let t = Rid_tbl.create () in
+  let keys =
+    Array.init 1000 (fun i -> { Rid.client = i mod 128; seq = i / 128 })
+  in
+  Array.iter (fun r -> Rid_tbl.replace t r 0) keys;
+  let words =
+    cycle_words ~keys ~cycle:(fun r ->
+        Rid_tbl.replace t r 1;
+        ignore (Rid_tbl.find t r : int);
+        Rid_tbl.remove t r;
+        Rid_tbl.replace t r 2)
+  in
+  check_budget "rid_tbl cycle" ~budget:0.0 words
 
 (* --- Ring buffer --- *)
 
@@ -473,13 +641,20 @@ let () =
         [
           Alcotest.test_case "hash-colliding keys distinct" `Quick
             test_itbl_hash_collision;
-        ] );
+          Alcotest.test_case "rid pack round-trip and range" `Quick
+            test_rid_packing;
+        ]
+        @ qc [ prop_itbl_matches_map ] );
       ( "alloc",
         [
           Alcotest.test_case "mem_log steady-state set" `Quick
             test_mem_log_set_words;
           Alcotest.test_case "mem_log fill 100 logs" `Quick
             test_mem_log_fill_words;
+          Alcotest.test_case "itbl find/replace/reinsert cycle" `Quick
+            test_itbl_cycle_words;
+          Alcotest.test_case "rid_tbl find/replace/reinsert cycle" `Quick
+            test_rid_tbl_cycle_words;
         ] );
       ( "ring_buffer",
         [
